@@ -503,12 +503,17 @@ impl CollectorCluster {
     }
 
     /// Recover collector `index`. A crashed host comes back with *wiped
-    /// memory* — everything it held before the crash is gone; blackhole
-    /// and degraded faults clear without data loss (the host never died).
+    /// memory* — everything it held before the crash is gone — and its
+    /// queue pairs re-handshake with the switches' PSN registers, so the
+    /// PSNs spent on reports lost while it was down do not gate later
+    /// ones. Blackhole and degraded faults clear without data loss (the
+    /// host never died).
     pub fn recover(&mut self, index: u32) {
         let wiped = self.health[index as usize] == CollectorHealth::Crashed;
         if wiped {
-            self.collectors[index as usize].wipe_memory();
+            let collector = &mut self.collectors[index as usize];
+            collector.wipe_memory();
+            collector.resync_qps();
         }
         self.health[index as usize] = CollectorHealth::Healthy;
         if let Some(o) = &self.obs {
@@ -737,15 +742,15 @@ impl CollectorCluster {
         // stranded there by a past outage can never shadow the primary
         // (the recovery sweep copies stranded data back and tombstones
         // the failover slot — see [`CollectorCluster::schedule_rerepl`]).
-        let order = match routing {
-            QueryRouting::Primary(p) | QueryRouting::NoneLive(p) => vec![p],
-            QueryRouting::Failover { primary, target } => vec![target, primary],
+        let (order, reads) = match routing {
+            QueryRouting::Primary(p) | QueryRouting::NoneLive(p) => ([p, p], 1),
+            QueryRouting::Failover { primary, target } => ([target, primary], 2),
         };
-        let mut candidates = Vec::with_capacity(order.len());
+        let mut candidates = Vec::with_capacity(reads);
         let mut answered_by = None;
         let mut answer = None;
         let mut any_reachable = false;
-        for id in order {
+        for &id in &order[..reads] {
             let reachable = self.health[id as usize].reachable();
             if !reachable {
                 candidates.push(CandidateProbe {

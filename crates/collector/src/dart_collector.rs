@@ -219,15 +219,25 @@ impl DartCollector {
 
     /// Wipe this collector's state as a crash-restart would: the
     /// telemetry region is zeroed and every sealed epoch snapshot is
-    /// gone (they lived in the same DRAM). NIC registrations and QP
-    /// state survive — the model for the control plane re-establishing
-    /// the same rkey/QPN layout on the replacement host, with UC gap
-    /// accounting absorbing the jump to each switch's current PSN.
+    /// gone (they lived in the same DRAM). NIC registrations and QPNs
+    /// survive — the model for the control plane re-establishing the
+    /// same rkey/QPN layout on the replacement host. Call
+    /// [`DartCollector::resync_qps`] to re-handshake their PSNs.
     pub fn wipe_memory(&mut self) {
         self.epochs.clear();
         if let Some(mr) = self.device.nic().mr(self.endpoint.rkey) {
             mr.zero();
         }
+    }
+
+    /// Re-handshake every switch queue pair with its sender's PSN
+    /// register: each adopts the PSN of the next report it receives.
+    /// The switches kept spending PSNs on reports the fabric dropped
+    /// while this host was down, so an RC queue pair (Key-Increment)
+    /// would otherwise NAK every later report; UC pairs would count the
+    /// jump as a loss gap.
+    pub fn resync_qps(&mut self) {
+        self.device.nic_mut().resync_qps();
     }
 
     /// Sealed epochs available for historical queries.

@@ -59,60 +59,53 @@ pub trait AddressMapping: Send + Sync {
 /// (Castagnoli, Koopman, CRC-32Q, IEEE), restoring independent slot
 /// choices. Copy indices ≥ 4 reuse polynomials with a distinct prefix
 /// byte; `N ≤ 4` (the paper's range) is fully independent.
-#[derive(Debug, Clone)]
-pub struct CrcMapping {
-    addr: [Crc32; 4],
-    sum: Crc32,
-    coll: Crc16,
-}
+///
+/// The units are the `static` engines of [`dta_wire::crc`], and each hash
+/// streams the prefix bytes and then the key through one digest — the
+/// same CRC as over the concatenated `prefix ‖ key`, with no buffer.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct CrcMapping;
 
 impl CrcMapping {
     /// Build the mapping: four CRC-32 address units (one polynomial per
     /// copy), CRC-32 (IEEE) for checksums, CRC-16 for collector choice.
     pub fn new() -> Self {
-        CrcMapping {
-            addr: [
-                Crc32::castagnoli(),
-                Crc32::koopman(),
-                Crc32::q(),
-                Crc32::ieee(),
-            ],
-            sum: Crc32::ieee(),
-            coll: Crc16::arc(),
-        }
+        CrcMapping
     }
-}
 
-impl Default for CrcMapping {
-    fn default() -> Self {
-        Self::new()
+    /// The CRC-32 address unit of copy `copy`.
+    fn address_unit(copy: u8) -> &'static Crc32 {
+        match copy % 4 {
+            0 => Crc32::castagnoli(),
+            1 => Crc32::koopman(),
+            2 => Crc32::q(),
+            _ => Crc32::ieee(),
+        }
     }
 }
 
 impl AddressMapping for CrcMapping {
     fn collector(&self, key: &[u8], collectors: u32) -> u32 {
         debug_assert!(collectors >= 1);
-        let mut buf = Vec::with_capacity(1 + key.len());
-        buf.push(domain::COLLECTOR);
-        buf.extend_from_slice(key);
-        u32::from(self.coll.checksum(&buf)) % collectors
+        let mut digest = Crc16::arc().digest();
+        digest.update(&[domain::COLLECTOR]);
+        digest.update(key);
+        u32::from(digest.finalize()) % collectors
     }
 
     fn slot(&self, key: &[u8], copy: u8, slots: u64) -> u64 {
         debug_assert!(slots >= 1);
-        let mut buf = Vec::with_capacity(2 + key.len());
-        buf.push(domain::ADDRESS);
-        buf.push(copy);
-        buf.extend_from_slice(key);
-        let unit = &self.addr[usize::from(copy) % 4];
-        u64::from(unit.checksum(&buf)) % slots
+        let mut digest = Self::address_unit(copy).digest();
+        digest.update(&[domain::ADDRESS, copy]);
+        digest.update(key);
+        u64::from(digest.finalize()) % slots
     }
 
     fn key_checksum(&self, key: &[u8]) -> u32 {
-        let mut buf = Vec::with_capacity(1 + key.len());
-        buf.push(domain::CHECKSUM);
-        buf.extend_from_slice(key);
-        self.sum.checksum(&buf)
+        let mut digest = Crc32::ieee().digest();
+        digest.update(&[domain::CHECKSUM]);
+        digest.update(key);
+        digest.finalize()
     }
 }
 

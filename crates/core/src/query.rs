@@ -142,22 +142,34 @@ pub fn decide(matches: &[&[u8]], policy: ReturnPolicy) -> QueryOutcome {
 
 /// Apply a return policy and say why it answered or abstained.
 pub fn decide_explain(matches: &[&[u8]], policy: ReturnPolicy) -> (QueryOutcome, DecisionReason) {
-    if matches.is_empty() {
+    decide_matches(matches.iter().copied(), policy)
+}
+
+/// [`decide_explain`] over any re-iterable sequence of matching values,
+/// so a store can decide straight from slot memory without collecting
+/// the matches into a buffer first.
+pub(crate) fn decide_matches<'a, I>(
+    matches: I,
+    policy: ReturnPolicy,
+) -> (QueryOutcome, DecisionReason)
+where
+    I: Iterator<Item = &'a [u8]> + Clone,
+{
+    let Some(first) = matches.clone().next() else {
         return (QueryOutcome::Empty, DecisionReason::NoSlotMatched);
-    }
+    };
     let votes = |count: usize| count.min(u8::MAX as usize) as u8;
     match policy {
         ReturnPolicy::FirstMatch => (
-            QueryOutcome::Answer(matches[0].to_vec()),
+            QueryOutcome::Answer(first.to_vec()),
             DecisionReason::Answered { votes: 1 },
         ),
         ReturnPolicy::UniqueValue => {
-            let first = matches[0];
-            if matches.iter().all(|v| *v == first) {
+            if matches.clone().all(|v| v == first) {
                 (
                     QueryOutcome::Answer(first.to_vec()),
                     DecisionReason::Answered {
-                        votes: votes(matches.len()),
+                        votes: votes(matches.count()),
                     },
                 )
             } else {
@@ -165,7 +177,7 @@ pub fn decide_explain(matches: &[&[u8]], policy: ReturnPolicy) -> (QueryOutcome,
             }
         }
         ReturnPolicy::Plurality => {
-            let (winner, count, tied) = plurality(matches);
+            let (winner, count, tied) = plurality(first, matches);
             if tied || count == 0 {
                 (QueryOutcome::Empty, DecisionReason::PluralityTie)
             } else {
@@ -179,7 +191,7 @@ pub fn decide_explain(matches: &[&[u8]], policy: ReturnPolicy) -> (QueryOutcome,
         }
         ReturnPolicy::Consensus(k) => {
             let k = usize::from(k.max(2));
-            let (winner, count, tied) = plurality(matches);
+            let (winner, count, tied) = plurality(first, matches);
             if !tied && count >= k {
                 (
                     QueryOutcome::Answer(winner.to_vec()),
@@ -202,19 +214,22 @@ pub fn decide_explain(matches: &[&[u8]], policy: ReturnPolicy) -> (QueryOutcome,
     }
 }
 
-/// Find the most frequent value; returns `(value, count, tie)`.
-fn plurality<'a>(matches: &[&'a [u8]]) -> (&'a [u8], usize, bool) {
-    debug_assert!(!matches.is_empty());
-    let mut best: &[u8] = matches[0];
+/// Find the most frequent value among `matches` (whose first element is
+/// `first`); returns `(value, count, tie)`.
+fn plurality<'a, I>(first: &'a [u8], matches: I) -> (&'a [u8], usize, bool)
+where
+    I: Iterator<Item = &'a [u8]> + Clone,
+{
+    let mut best = first;
     let mut best_count = 0usize;
     let mut tie = false;
     // N is tiny (≤ 4 in practice); quadratic counting beats hashing.
-    for (i, &candidate) in matches.iter().enumerate() {
+    for (i, candidate) in matches.clone().enumerate() {
         // Count only the first occurrence of each distinct value.
-        if matches[..i].contains(&candidate) {
+        if matches.clone().take(i).any(|v| v == candidate) {
             continue;
         }
-        let count = matches.iter().filter(|&&v| v == candidate).count();
+        let count = matches.clone().filter(|&v| v == candidate).count();
         match count.cmp(&best_count) {
             core::cmp::Ordering::Greater => {
                 best = candidate;

@@ -12,7 +12,7 @@ use crate::hash::AddressMapping;
 use crate::primitive::{
     append_encode_entry, append_newest_seq, append_scan, increment_decode, PrimitiveSpec,
 };
-use crate::query::{decide_explain, DecisionReason, QueryOutcome, ReturnPolicy};
+use crate::query::{decide_matches, DecisionReason, QueryOutcome, ReturnPolicy};
 
 /// What one slot probe of a query saw (one of the `N` copies).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -561,28 +561,32 @@ impl<'a> StoreView<'a> {
         let layout = self.config.layout;
         let expected = layout.checksum.truncate(self.mapping.key_checksum(key));
         let slot_len = layout.slot_len();
+        let slot_bytes = |slot: u64| {
+            let start = slot as usize * slot_len;
+            &self.memory[start..start + slot_len]
+        };
         let mut probes = Vec::with_capacity(usize::from(self.config.copies));
-        let mut matches = Vec::with_capacity(usize::from(self.config.copies));
         for copy in 0..self.config.copies {
             let slot = self.mapping.slot(key, copy, self.config.slots);
-            let start = slot as usize * slot_len;
-            let slot_bytes = &self.memory[start..start + slot_len];
-            let occupied = slot_bytes.iter().any(|&b| b != 0);
-            let mut checksum_matched = false;
-            if let Ok((stored, value)) = layout.decode(slot_bytes) {
-                if stored == expected {
-                    checksum_matched = true;
-                    matches.push(value);
-                }
-            }
+            let bytes = slot_bytes(slot);
             probes.push(SlotProbe {
                 copy,
                 slot,
-                occupied,
-                checksum_matched,
+                occupied: bytes.iter().any(|&b| b != 0),
+                checksum_matched: layout
+                    .decode(bytes)
+                    .is_ok_and(|(stored, _)| stored == expected),
             });
         }
-        let (outcome, reason) = decide_explain(&matches, policy);
+        // The policy reads the matching values straight from slot
+        // memory, in copy order.
+        let matches = probes.iter().filter(|p| p.checksum_matched).map(|p| {
+            layout
+                .decode(slot_bytes(p.slot))
+                .expect("decoded when probed")
+                .1
+        });
+        let (outcome, reason) = decide_matches(matches, policy);
         StoreExplain {
             probes,
             policy,
@@ -635,7 +639,8 @@ impl<'a> StoreView<'a> {
     fn explain_increment(&self, key: &[u8], policy: ReturnPolicy) -> StoreExplain {
         let entry_len = self.config.entry_len();
         let mut probes = Vec::with_capacity(usize::from(self.config.copies));
-        let mut totals = Vec::with_capacity(usize::from(self.config.copies));
+        // The smallest non-zero copy and how many copies hold it.
+        let mut minimum: Option<(u64, usize)> = None;
         for copy in 0..self.config.copies {
             let slot = self.mapping.slot(key, copy, self.config.slots);
             let start = slot as usize * entry_len;
@@ -652,22 +657,21 @@ impl<'a> StoreView<'a> {
                 checksum_matched: occupied,
             });
             if occupied {
-                totals.push(word);
+                minimum = match minimum {
+                    Some((low, votes)) if word == low => Some((low, votes + 1)),
+                    Some((low, votes)) if word > low => Some((low, votes)),
+                    _ => Some((word, 1)),
+                };
             }
         }
-        let (outcome, reason) = match totals.iter().min() {
+        let (outcome, reason) = match minimum {
             None => (QueryOutcome::Empty, DecisionReason::NoSlotMatched),
-            Some(&minimum) => {
-                let votes = totals
-                    .iter()
-                    .filter(|&&t| t == minimum)
-                    .count()
-                    .min(usize::from(u8::MAX)) as u8;
-                (
-                    QueryOutcome::Answer(minimum.to_be_bytes().to_vec()),
-                    DecisionReason::Answered { votes },
-                )
-            }
+            Some((minimum, votes)) => (
+                QueryOutcome::Answer(minimum.to_be_bytes().to_vec()),
+                DecisionReason::Answered {
+                    votes: votes.min(usize::from(u8::MAX)) as u8,
+                },
+            ),
         };
         StoreExplain {
             probes,

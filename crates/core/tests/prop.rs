@@ -170,3 +170,41 @@ proptest! {
         }
     }
 }
+
+/// `buf = prefix ‖ key`: the scratch buffer the CRC mapping used to
+/// hash before it streamed the prefix and key into one digest.
+fn prefixed(prefix: &[u8], key: &[u8]) -> Vec<u8> {
+    let mut buf = prefix.to_vec();
+    buf.extend_from_slice(key);
+    buf
+}
+
+proptest! {
+    /// Streaming the domain prefix and then the key through one digest
+    /// gives exactly the hashes of the concatenated buffer: collector
+    /// (CRC-16/ARC, prefix 0xC0), slot (one CRC-32 unit per copy index,
+    /// prefix 0xA0 ‖ copy) and key checksum (IEEE, prefix 0x5C).
+    #[test]
+    fn crc_mapping_streams_like_the_concatenated_buffer(
+        key in proptest::collection::vec(any::<u8>(), 0..=64),
+        copy in 0u8..8,
+        collectors in 1u32..64,
+        slots in 1u64..(1 << 20),
+    ) {
+        use dta_wire::crc::{Crc16, Crc32};
+        let mapping = CrcMapping::new();
+        let units = [Crc32::castagnoli(), Crc32::koopman(), Crc32::q(), Crc32::ieee()];
+        prop_assert_eq!(
+            mapping.collector(&key, collectors),
+            u32::from(Crc16::arc().checksum(&prefixed(&[0xC0], &key))) % collectors
+        );
+        prop_assert_eq!(
+            mapping.slot(&key, copy, slots),
+            u64::from(units[usize::from(copy) % 4].checksum(&prefixed(&[0xA0, copy], &key))) % slots
+        );
+        prop_assert_eq!(
+            mapping.key_checksum(&key),
+            Crc32::ieee().checksum(&prefixed(&[0x5C], &key))
+        );
+    }
+}

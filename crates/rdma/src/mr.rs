@@ -116,6 +116,9 @@ pub struct MemoryRegion {
     rkey: u32,
     access: AccessFlags,
     commit: CommitKind,
+    /// Length of `bytes`, which never changes after registration (kept
+    /// here so access checks need no lock).
+    len: usize,
     bytes: Arc<RwLock<Vec<u8>>>,
 }
 
@@ -129,6 +132,7 @@ impl MemoryRegion {
             rkey,
             access,
             commit: CommitKind::default(),
+            len,
             bytes: Arc::new(RwLock::new(vec![0u8; len])),
         }
     }
@@ -156,12 +160,12 @@ impl MemoryRegion {
 
     /// Region length in bytes.
     pub fn len(&self) -> usize {
-        self.bytes.read().len()
+        self.len
     }
 
     /// Whether the region is empty.
     pub fn is_empty(&self) -> bool {
-        self.len() == 0
+        self.len == 0
     }
 
     /// A shareable handle to the backing bytes.
@@ -200,11 +204,18 @@ impl MemoryRegion {
     }
 
     /// DMA write `data` at `va`.
-    pub fn write(&self, va: u64, data: &[u8]) -> Result<(), AccessError> {
+    ///
+    /// Returns whether the bytes it replaced were all zero — an empty
+    /// slot, as opposed to an overwrite — read under the same lock as
+    /// the write.
+    pub fn write(&self, va: u64, data: &[u8]) -> Result<bool, AccessError> {
         self.check_access(va, data.len(), AccessKind::Write)?;
         let off = (va - self.base_va) as usize;
-        self.bytes.write()[off..off + data.len()].copy_from_slice(data);
-        Ok(())
+        let mut guard = self.bytes.write();
+        let target = &mut guard[off..off + data.len()];
+        let fresh = target.iter().all(|&b| b == 0);
+        target.copy_from_slice(data);
+        Ok(fresh)
     }
 
     /// DMA read `len` bytes at `va`.

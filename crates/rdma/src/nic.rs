@@ -171,8 +171,65 @@ pub enum RxAction {
 pub struct RxOutcome {
     /// What happened.
     pub action: RxAction,
-    /// A response frame to transmit (RC ACK/NAK), if any.
-    pub response: Option<Vec<u8>>,
+    /// A response to transmit (RC ACK/NAK), if any.
+    pub response: Option<Response>,
+}
+
+/// An RC ACK/NAK the NIC owes the requester.
+///
+/// The response is described, not serialized: its frame is built only
+/// when a transmit path asks for it ([`Response::to_frame`]), so
+/// executing an ACK-requesting atomic allocates nothing. DART switches
+/// fire and forget their FETCH_ADDs (§6), so in the pipeline nobody does.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Response {
+    /// The responding NIC's MAC (frame source).
+    pub src_mac: ethernet::Address,
+    /// The responding NIC's IP.
+    pub src_ip: ipv4::Address,
+    /// The requester's MAC.
+    pub dst_mac: ethernet::Address,
+    /// The requester's IP.
+    pub dst_ip: ipv4::Address,
+    /// The response's UDP source port: the requester's source port,
+    /// echoed (the destination port is RoCEv2's 4791 both ways).
+    pub udp_src_port: u16,
+    /// The requester's QPN.
+    pub dest_qp: u32,
+    /// The PSN being acknowledged.
+    pub psn: u32,
+    /// ACK or NAK.
+    pub syndrome: roce::Syndrome,
+}
+
+impl Response {
+    /// Serialize the ACK/NAK as a complete RoCEv2 frame.
+    pub fn to_frame(&self) -> Vec<u8> {
+        let ack = roce::RoceRepr::Ack {
+            bth: roce::BthRepr {
+                opcode: roce::Opcode::RcAcknowledge,
+                solicited: false,
+                migration: true,
+                pad_count: 0,
+                partition_key: 0xFFFF,
+                dest_qp: self.dest_qp,
+                ack_request: false,
+                psn: self.psn,
+            },
+            aeth: roce::AethRepr {
+                syndrome: self.syndrome,
+                msn: 0,
+            },
+        };
+        build_roce_frame(
+            self.src_mac,
+            self.dst_mac,
+            self.src_ip,
+            self.dst_ip,
+            self.udp_src_port,
+            &ack,
+        )
+    }
 }
 
 impl RxOutcome {
@@ -341,6 +398,14 @@ impl RNic {
         self.qps.get_mut(&qpn).ok_or(NicError::UnknownQpn(qpn))
     }
 
+    /// Re-handshake every queue pair (see [`QueuePair::resync`]): each
+    /// adopts the PSN of the next packet it receives.
+    pub fn resync_qps(&mut self) {
+        for qp in self.qps.values_mut() {
+            qp.resync();
+        }
+    }
+
     /// Immutable access to a QP.
     pub fn qp(&self, qpn: u32) -> Option<&QueuePair> {
         self.qps.get(&qpn)
@@ -426,7 +491,7 @@ impl RNic {
             return RxOutcome::drop(DropReason::Malformed);
         }
         let transport_packet = &udp_payload[..udp_payload.len() - roce::ICRC_LEN];
-        let packet = match roce::RoceRepr::parse(transport_packet) {
+        let packet = match roce::RoceView::parse(transport_packet) {
             Ok(p) => p,
             Err(_) => {
                 self.counters.malformed += 1;
@@ -504,9 +569,9 @@ impl RNic {
         RxOutcome { action, response }
     }
 
-    fn execute(&mut self, packet: &roce::RoceRepr) -> (RxAction, Option<roce::Syndrome>) {
+    fn execute(&mut self, packet: &roce::RoceView<'_>) -> (RxAction, Option<roce::Syndrome>) {
         match packet {
-            roce::RoceRepr::Write { reth, payload, .. } => {
+            roce::RoceView::Write { reth, payload, .. } => {
                 let mr = match self.mrs.get(&reth.rkey) {
                     Some(mr) => mr,
                     None => {
@@ -514,20 +579,11 @@ impl RNic {
                         return (RxAction::Dropped(DropReason::BadRkey), None);
                     }
                 };
-                // Classify fresh vs. overwrite before the DMA clobbers
-                // the evidence. The region may deny remote reads
-                // (DART_COLLECTOR), so peek through the host-side
-                // handle rather than `mr.read`.
-                let offset = reth.virtual_addr.wrapping_sub(mr.base_va()) as usize;
-                let fresh = mr.handle().with(|mem| {
-                    offset
-                        .checked_add(payload.len())
-                        .and_then(|end| mem.get(offset..end))
-                        .is_some_and(|range| range.iter().all(|&b| b == 0))
-                });
+                // The region classifies fresh vs. overwrite under the
+                // DMA's own lock.
                 let commit = mr.commit();
                 match mr.write(reth.virtual_addr, payload) {
-                    Ok(()) => {
+                    Ok(fresh) => {
                         self.counters.writes += 1;
                         if commit == CommitKind::Append {
                             self.counters.appends += 1;
@@ -558,7 +614,7 @@ impl RNic {
                     }
                 }
             }
-            roce::RoceRepr::FetchAdd { atomic, .. } => self.run_atomic(atomic, true, |mr, a| {
+            roce::RoceView::FetchAdd { atomic, .. } => self.run_atomic(atomic, true, |mr, a| {
                 // Commit as an optimistic compare-swap retry loop: peek
                 // the current big-endian word, attempt to swap in
                 // current + addend, and succeed only if nobody raced in
@@ -581,17 +637,17 @@ impl RNic {
                 }
                 mr.fetch_add(a.virtual_addr, a.swap_or_add)
             }),
-            roce::RoceRepr::CompareSwap { atomic, .. } => {
+            roce::RoceView::CompareSwap { atomic, .. } => {
                 self.run_atomic(atomic, false, |mr, a| {
                     mr.compare_swap(a.virtual_addr, a.compare, a.swap_or_add)
                 })
             }
-            roce::RoceRepr::Send { payload, .. } => {
+            roce::RoceView::Send { payload, .. } => {
                 self.counters.sends += 1;
-                self.inbox.push_back(payload.clone());
+                self.inbox.push_back(payload.to_vec());
                 (RxAction::SendDelivered { len: payload.len() }, None)
             }
-            roce::RoceRepr::Ack { .. } => {
+            roce::RoceView::Ack { .. } => {
                 // A requester-side NIC would match this to an outstanding
                 // WQE; the collector side just counts it.
                 (RxAction::SendDelivered { len: 0 }, None)
@@ -631,7 +687,8 @@ impl RNic {
         }
     }
 
-    /// Build an ACK/NAK frame back to the requester.
+    /// Describe an ACK/NAK back to the requester of the frame whose
+    /// headers are `eth`/`ip`/`dgram`.
     fn build_response<T: AsRef<[u8]>, U: AsRef<[u8]>, V: AsRef<[u8]>>(
         &self,
         eth: &ethernet::Frame<T>,
@@ -640,28 +697,17 @@ impl RNic {
         peer_qpn: u32,
         psn: u32,
         syndrome: roce::Syndrome,
-    ) -> Vec<u8> {
-        let ack = roce::RoceRepr::Ack {
-            bth: roce::BthRepr {
-                opcode: roce::Opcode::RcAcknowledge,
-                solicited: false,
-                migration: true,
-                pad_count: 0,
-                partition_key: 0xFFFF,
-                dest_qp: peer_qpn,
-                ack_request: false,
-                psn,
-            },
-            aeth: roce::AethRepr { syndrome, msn: 0 },
-        };
-        build_roce_frame(
-            self.mac,
-            eth.src_addr(),
-            self.ip,
-            ip.src_addr(),
-            dgram.src_port(),
-            &ack,
-        )
+    ) -> Response {
+        Response {
+            src_mac: self.mac,
+            src_ip: self.ip,
+            dst_mac: eth.src_addr(),
+            dst_ip: ip.src_addr(),
+            udp_src_port: dgram.src_port(),
+            dest_qp: peer_qpn,
+            psn,
+            syndrome,
+        }
     }
 }
 
@@ -937,7 +983,7 @@ mod tests {
         let frame = build_roce_frame(SW_MAC, NIC_MAC, SW_IP, NIC_IP, 49152, &packet);
         let outcome = nic.handle_frame(&frame);
         assert_eq!(outcome.action, RxAction::AtomicExecuted { original: 0 });
-        let ack = outcome.response.expect("RC must ACK atomics");
+        let ack = outcome.response.expect("RC must ACK atomics").to_frame();
 
         // The ACK must itself be a parseable RoCE frame addressed back.
         let eth = ethernet::Frame::new_checked(&ack[..]).unwrap();

@@ -73,6 +73,9 @@ pub struct QueuePair {
     transport: Transport,
     state: QpState,
     expected_psn: Psn,
+    /// Adopt the next arriving PSN as in sequence (set by
+    /// [`QueuePair::resync`]).
+    adopt_next_psn: bool,
     peer_qpn: u32,
     counters: QpCounters,
 }
@@ -85,6 +88,7 @@ impl QueuePair {
             transport,
             state: QpState::Init,
             expected_psn: Psn::new(0),
+            adopt_next_psn: false,
             peer_qpn: 0,
             counters: QpCounters::default(),
         }
@@ -128,6 +132,16 @@ impl QueuePair {
         self.peer_qpn
     }
 
+    /// Re-handshake with the peer without knowing its current PSN: the
+    /// next arriving packet is accepted as in sequence whatever its PSN,
+    /// and sequencing continues from there. Models the control plane
+    /// re-reading the sender's PSN register when a restarted host comes
+    /// back — without it an RC queue pair would NAK every later packet
+    /// after the PSNs the sender spent while the host was down.
+    pub fn resync(&mut self) {
+        self.adopt_next_psn = true;
+    }
+
     /// Force the error state (administratively or after a fatal error).
     pub fn set_error(&mut self) {
         self.state = QpState::Error;
@@ -144,6 +158,10 @@ impl QueuePair {
         if !matches!(self.state, QpState::ReadyToReceive | QpState::ReadyToSend) {
             self.counters.dropped += 1;
             return PsnVerdict::Duplicate;
+        }
+        if self.adopt_next_psn {
+            self.adopt_next_psn = false;
+            self.expected_psn = psn;
         }
         let distance = psn.distance(self.expected_psn);
         match (self.transport, distance) {
@@ -185,6 +203,17 @@ mod tests {
         let mut qp = QueuePair::new(0x22, Transport::Rc);
         qp.ready(Psn::new(0));
         qp
+    }
+
+    #[test]
+    fn resync_adopts_the_next_psn_once() {
+        let mut qp = rc();
+        qp.resync();
+        assert_eq!(qp.receive_psn(Psn::new(5_000)), PsnVerdict::InSequence);
+        assert_eq!(qp.expected_psn(), Psn::new(5_001));
+        // Sequencing is strict again afterwards.
+        assert_eq!(qp.receive_psn(Psn::new(5_003)), PsnVerdict::OutOfSequence);
+        assert_eq!(qp.receive_psn(Psn::new(5_001)), PsnVerdict::InSequence);
     }
 
     #[test]

@@ -21,7 +21,31 @@ pub fn deparse_roce_frame(
     src_port: u16,
     packet: &RoceRepr,
 ) -> Vec<u8> {
-    let transport_len = packet.buffer_len() + roce::ICRC_LEN;
+    deparse_frame_with(
+        src_mac,
+        dst_mac,
+        src_ip,
+        dst_ip,
+        src_port,
+        packet.buffer_len(),
+        |transport| packet.emit(transport),
+    )
+}
+
+/// Emit the header stack and iCRC around a `transport_len`-byte
+/// transport packet that `emit_transport` writes in place (into a zeroed
+/// buffer), so a report's payload is encoded straight into the frame the
+/// link takes ownership of — the frame is the one allocation.
+pub fn deparse_frame_with(
+    src_mac: ethernet::Address,
+    dst_mac: ethernet::Address,
+    src_ip: ipv4::Address,
+    dst_ip: ipv4::Address,
+    src_port: u16,
+    transport_len: usize,
+    emit_transport: impl FnOnce(&mut [u8]),
+) -> Vec<u8> {
+    let udp_payload_len = transport_len + roce::ICRC_LEN;
 
     let eth_repr = ethernet::Repr {
         src_addr: src_mac,
@@ -32,17 +56,17 @@ pub fn deparse_roce_frame(
         src_addr: src_ip,
         dst_addr: dst_ip,
         protocol: ipv4::Protocol::Udp,
-        payload_len: udp::HEADER_LEN + transport_len,
+        payload_len: udp::HEADER_LEN + udp_payload_len,
         ttl: 64,
         tos: 0,
     };
     let udp_repr = udp::Repr {
         src_port,
         dst_port: udp::ROCEV2_PORT,
-        payload_len: transport_len,
+        payload_len: udp_payload_len,
     };
 
-    let total = ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN + transport_len;
+    let total = ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN + udp_payload_len;
     let mut frame = vec![0u8; total];
     let mut eth = ethernet::Frame::new_unchecked(&mut frame[..]);
     eth_repr.emit(&mut eth);
@@ -54,17 +78,16 @@ pub fn deparse_roce_frame(
     let ip_start = ethernet::HEADER_LEN;
     let udp_start = ip_start + ipv4::HEADER_LEN;
     let roce_start = udp_start + udp::HEADER_LEN;
-    packet.emit(&mut frame[roce_start..roce_start + packet.buffer_len()]);
+    emit_transport(&mut frame[roce_start..roce_start + transport_len]);
 
     // iCRC via the CRC-32 extern.
     let (head, tail) = frame.split_at_mut(roce_start);
     let crc = roce::icrc::compute(
         &head[ip_start..ip_start + ipv4::HEADER_LEN],
         &head[udp_start..udp_start + udp::HEADER_LEN],
-        &tail[..packet.buffer_len()],
+        &tail[..transport_len],
     );
-    tail[packet.buffer_len()..packet.buffer_len() + roce::ICRC_LEN]
-        .copy_from_slice(&crc.to_le_bytes());
+    tail[transport_len..transport_len + roce::ICRC_LEN].copy_from_slice(&crc.to_le_bytes());
     frame
 }
 

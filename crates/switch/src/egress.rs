@@ -534,16 +534,15 @@ impl DartEgress {
             .expect("register array sized to collectors");
         let psn = Psn::new(raw);
 
-        // Slot payload: checksum ‖ value.
-        let slot_len = self.config.layout.slot_len();
-        let mut payload = vec![0u8; slot_len];
-        self.config
-            .layout
-            .encode(key_checksum, value, &mut payload)
-            .expect("lengths validated above");
-
+        // Slot payload: checksum ‖ value, encoded into the frame.
+        let layout = self.config.layout;
+        let slot_len = layout.slot_len();
         let va = endpoint.base_va + slot * slot_len as u64;
-        let frame = self.deparse(&endpoint, psn, va, payload);
+        let frame = self.deparse_write(&endpoint, psn, va, slot_len, |payload| {
+            layout
+                .encode(key_checksum, value, payload)
+                .expect("lengths validated above");
+        });
         self.counters.reports += 1;
         if let Some(o) = &self.obs {
             o.reports.inc();
@@ -718,20 +717,14 @@ impl DartEgress {
             .expect("register array sized to collectors");
         let psn = Psn::new(raw);
 
+        let layout = self.config.layout;
         let entry_len = self.config.entry_len();
-        let mut payload = vec![0u8; entry_len];
-        append_encode_entry(
-            &self.config.layout,
-            stored,
-            key_checksum,
-            value,
-            &mut payload,
-        )
-        .expect("lengths validated above");
-
         let slot = ring * ring_capacity + position;
         let va = endpoint.base_va + slot * entry_len as u64;
-        let frame = self.deparse(&endpoint, psn, va, payload);
+        let frame = self.deparse_write(&endpoint, psn, va, entry_len, |payload| {
+            append_encode_entry(&layout, stored, key_checksum, value, payload)
+                .expect("lengths validated above");
+        });
         self.counters.reports += 1;
         if let Some(o) = &self.obs {
             o.reports.inc();
@@ -831,10 +824,18 @@ impl DartEgress {
         })
     }
 
-    /// The deparser for a standard RDMA WRITE report.
-    fn deparse(&self, endpoint: &RemoteEndpoint, psn: Psn, va: u64, payload: Vec<u8>) -> Vec<u8> {
-        let pad_count = ((4 - payload.len() % 4) % 4) as u8;
-        let dma_len = payload.len() as u32;
+    /// The deparser for a standard RDMA WRITE report: the BTH, RETH and
+    /// the `payload_len`-byte payload `encode` writes go straight into
+    /// the frame buffer the link takes ownership of.
+    fn deparse_write(
+        &self,
+        endpoint: &RemoteEndpoint,
+        psn: Psn,
+        va: u64,
+        payload_len: usize,
+        encode: impl FnOnce(&mut [u8]),
+    ) -> Vec<u8> {
+        let pad_count = ((4 - payload_len % 4) % 4) as u8;
         let bth = BthRepr {
             opcode: Opcode::UcRdmaWriteOnly,
             solicited: false,
@@ -848,9 +849,24 @@ impl DartEgress {
         let reth = RethRepr {
             virtual_addr: va,
             rkey: endpoint.rkey,
-            dma_len,
+            dma_len: payload_len as u32,
         };
-        self.deparse_packet(endpoint, &roce::RoceRepr::Write { bth, reth, payload })
+        crate::deparse::deparse_frame_with(
+            self.identity.mac,
+            endpoint.mac,
+            self.identity.ip,
+            endpoint.ip,
+            self.config.udp_src_port,
+            roce::write_len(payload_len, pad_count),
+            |transport| {
+                encode(roce::emit_write_headers(
+                    &bth,
+                    &reth,
+                    payload_len,
+                    transport,
+                ))
+            },
+        )
     }
 
     /// The generic deparser: emit the full header stack and iCRC trailer

@@ -26,14 +26,14 @@ pub enum CrcPoly {
     Crc32C,
 }
 
-/// A configured CRC extern instance.
-#[derive(Debug, Clone)]
-#[allow(clippy::large_enum_variant)] // CRC tables are large by nature; externs are few
+/// A configured CRC extern instance: a handle on one of the `static`
+/// engines, whose tables are fixed like the hardware unit's.
+#[derive(Debug, Clone, Copy)]
 pub enum CrcExtern {
     /// 16-bit engine.
-    C16(Crc16),
+    C16(&'static Crc16),
     /// 32-bit engine.
-    C32(Crc32),
+    C32(&'static Crc32),
 }
 
 impl CrcExtern {

@@ -14,7 +14,7 @@ use dta_core::config::DartConfig;
 use dta_core::hash::MappingKind;
 use dta_core::primitive::{increment_encode, seq_newest, PrimitiveSpec};
 use dta_core::query::{classify, QueryClass, QueryOutcome, ReturnPolicy};
-use dta_obs::{EventKind, Obs};
+use dta_obs::{EventKind, Gauge, Obs};
 use dta_rdma::link::{link, FaultModel, LinkRx, LinkStats, LinkTx};
 use dta_rdma::nic::DropReason;
 use dta_switch::control_plane::{ControlPlane, HealthMonitor, ProbeConfig};
@@ -218,11 +218,19 @@ impl From<dta_core::DartError> for SimError {
     }
 }
 
+/// Position of switch `id` in [`FatTreeSim`]'s switch table.
+fn switch_index(id: u32) -> usize {
+    id as usize - 1
+}
+
 /// The end-to-end simulator.
 pub struct FatTreeSim {
     tree: FatTree,
     config: SimConfig,
-    switches: HashMap<u32, IntSwitch>,
+    /// Every switch, indexed by `id - 1` (fat-tree switch IDs are dense
+    /// from 1), so iteration — and with it the order failover records
+    /// drain in — is ascending switch ID.
+    switches: Vec<IntSwitch>,
     cluster: CollectorCluster,
     tx: LinkTx,
     rx: LinkRx,
@@ -239,6 +247,9 @@ pub struct FatTreeSim {
     /// `(due_frame, collector)` recoveries for fired faults.
     pending_recoveries: Vec<(u64, u32)>,
     obs: Obs,
+    /// The `dta_link_{sent,delivered,dropped}` gauges, registered once
+    /// when `obs` is enabled so a drain only stores three values.
+    link_gauges: Option<[Gauge; 3]>,
     /// `LinkStats::dropped` at the last drain, so link-level losses can
     /// be logged as individual events.
     link_dropped_seen: u64,
@@ -290,8 +301,9 @@ impl FatTreeSim {
             collectors: config.collectors,
             udp_src_port: 49152,
         };
-        let mut switches = HashMap::new();
+        let mut switches = Vec::new();
         for id in tree.all_switch_ids() {
+            debug_assert_eq!(switch_index(id), switches.len(), "dense switch IDs");
             let mut sw = IntSwitch::new(
                 SwitchIdentity::derived(id),
                 egress_config,
@@ -306,7 +318,7 @@ impl FatTreeSim {
                 .install_directory(sw.egress_mut(), &directory)
                 .map_err(|e| SimError::Switch(IntError::Switch(e)))?;
             sw.egress_mut().attach_obs(&obs);
-            switches.insert(id, sw);
+            switches.push(sw);
         }
 
         let (tx, rx) = link(config.fault, config.seed ^ 0x11A);
@@ -314,6 +326,10 @@ impl FatTreeSim {
         let mut monitor = HealthMonitor::new(config.collectors, config.probe);
         monitor.attach_obs(&obs);
         let pending_faults = config.faults.clone();
+        let link_gauges = obs.is_enabled().then(|| {
+            ["dta_link_sent", "dta_link_delivered", "dta_link_dropped"]
+                .map(|name| obs.registry().gauge(name))
+        });
         Ok(FatTreeSim {
             tree,
             config,
@@ -328,6 +344,7 @@ impl FatTreeSim {
             pending_faults,
             pending_recoveries: Vec::new(),
             obs,
+            link_gauges,
             link_dropped_seen: 0,
         })
     }
@@ -360,13 +377,12 @@ impl FatTreeSim {
             } else {
                 IntRole::Transit
             };
-            let sw = self.switches.get_mut(&hop).expect("route within tree");
-            sw.process(&mut packet, role)?;
+            self.switches[switch_index(hop)].process(&mut packet, role)?;
         }
 
         // Sink reporting (the last hop on the route).
         let sink_id = *route.last().expect("routes are non-empty");
-        let sink = self.switches.get_mut(&sink_id).expect("sink in tree");
+        let sink = &mut self.switches[switch_index(sink_id)];
         let truth = packet
             .stack
             .to_padded_value_bytes(PATH_HOPS)
@@ -375,8 +391,14 @@ impl FatTreeSim {
         match self.config.primitive {
             PrimitiveSpec::KeyWrite => {
                 match self.config.mode {
+                    // All `N` copies, from the key and value built once
+                    // for the flow (what `report_all_copies` sends).
                     ReportMode::AllCopies => {
-                        for report in sink.report_all_copies(&flow.tuple, &packet.stack)? {
+                        for report in sink
+                            .egress_mut()
+                            .craft(&flow.tuple.to_bytes(), &truth)
+                            .map_err(IntError::Switch)?
+                        {
                             self.tx.send(report.frame);
                         }
                     }
@@ -469,12 +491,11 @@ impl FatTreeSim {
             for _ in self.link_dropped_seen..stats.dropped {
                 self.obs.event(EventKind::LinkFrame { delivered: false });
             }
-            let registry = self.obs.registry();
-            registry.gauge("dta_link_sent").set(stats.sent as i64);
-            registry
-                .gauge("dta_link_delivered")
-                .set(stats.delivered as i64);
-            registry.gauge("dta_link_dropped").set(stats.dropped as i64);
+        }
+        if let Some([sent, delivered, dropped]) = &self.link_gauges {
+            sent.set(stats.sent as i64);
+            delivered.set(stats.delivered as i64);
+            dropped.set(stats.dropped as i64);
         }
         self.link_dropped_seen = stats.dropped;
         self.obs.set_tick(stats.sent);
@@ -516,7 +537,7 @@ impl FatTreeSim {
         let prev = self.monitor.mask();
         let cluster = &mut self.cluster;
         if let Some(mask) = self.monitor.tick(now, |id| cluster.probe_rtt(id)) {
-            for sw in self.switches.values_mut() {
+            for sw in &mut self.switches {
                 for id in 0..mask.total() {
                     sw.egress_mut()
                         .set_collector_liveness(id, mask.is_live(id))
@@ -532,14 +553,14 @@ impl FatTreeSim {
             for id in 0..mask.total() {
                 if mask.is_live(id) && !prev.is_live(id) {
                     let mut records = Vec::new();
-                    for sw in self.switches.values_mut() {
+                    for sw in &mut self.switches {
                         records.extend(sw.egress_mut().drain_failover_records(id));
                     }
                     let mut tails: Vec<(u64, u32)> = Vec::new();
                     if matches!(self.config.primitive, PrimitiveSpec::Append { .. }) {
                         for ring in 0..self.config.primitive.rings(self.config.slots) {
                             let mut newest = 0u32;
-                            for sw in self.switches.values() {
+                            for sw in &self.switches {
                                 if let Some(tail) = sw.egress().ring_tail(id, ring) {
                                     newest = seq_newest(newest, tail);
                                 }
@@ -558,7 +579,7 @@ impl FatTreeSim {
         // hands back the ring tails its re-appends advanced, which every
         // switch must adopt before its next append to those rings.
         for rec in self.cluster.rerepl_tick(now) {
-            for sw in self.switches.values_mut() {
+            for sw in &mut self.switches {
                 sw.egress_mut()
                     .set_ring_tail(rec.collector, rec.ring, rec.stored_seq)
                     .expect("reconciled ring within geometry");
@@ -614,10 +635,7 @@ impl FatTreeSim {
                 },
                 &Self::synthetic_measurement(hop as u32, switch_id),
             );
-            let sw = self
-                .switches
-                .get_mut(&switch_id)
-                .expect("route within tree");
+            let sw = &mut self.switches[switch_index(switch_id)];
             for copy in 0..self.config.copies {
                 let report = sw
                     .egress_mut()
@@ -666,10 +684,7 @@ impl FatTreeSim {
             });
             let value =
                 PostcardBackend::encode_value(&Self::synthetic_measurement(hop as u32, switch_id));
-            let sw = self
-                .switches
-                .get_mut(&switch_id)
-                .expect("route within tree");
+            let sw = &mut self.switches[switch_index(switch_id)];
             for report in sw
                 .egress_mut()
                 .craft(&key, &value)

@@ -82,10 +82,14 @@ impl IntStack {
     /// Five hops yield the paper's 160-bit value.
     pub fn to_value_bytes(&self) -> Vec<u8> {
         let mut out = Vec::with_capacity(self.hops.len() * HopMetadata::WIRE_LEN);
+        self.extend_value_bytes(&mut out);
+        out
+    }
+
+    fn extend_value_bytes(&self, out: &mut Vec<u8>) {
         for hop in &self.hops {
             out.extend_from_slice(&hop.switch_id.to_be_bytes());
         }
-        out
     }
 
     /// Decode from a DART value of whole 32-bit words.
@@ -114,7 +118,9 @@ impl IntStack {
         if self.hops.len() > hops {
             return Err(Error::Overflow);
         }
-        let mut out = self.to_value_bytes();
+        // One allocation: sized for the padding up front.
+        let mut out = Vec::with_capacity(hops * HopMetadata::WIRE_LEN);
+        self.extend_value_bytes(&mut out);
         out.resize(hops * HopMetadata::WIRE_LEN, 0);
         Ok(out)
     }

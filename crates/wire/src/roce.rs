@@ -576,56 +576,17 @@ impl RoceRepr {
     }
 
     /// Parse an InfiniBand transport packet (UDP payload *without* the
-    /// iCRC trailer — strip it first, see [`icrc`]).
+    /// iCRC trailer — strip it first, see [`icrc`]), copying the payload
+    /// out. Receive paths that only look at the packet should use
+    /// [`RoceView::parse`], which this wraps.
     pub fn parse(data: &[u8]) -> Result<RoceRepr> {
-        let bth_view = Bth::new_checked(data)?;
-        let bth = BthRepr::parse(&bth_view)?;
-        let rest = &data[BTH_LEN..];
-        let pad = usize::from(bth.pad_count);
-        match bth.opcode {
-            op if op.has_reth() => {
-                let reth = RethRepr::parse(rest)?;
-                let payload_raw = &rest[RETH_LEN..];
-                if payload_raw.len() < pad {
-                    return Err(Error::Truncated);
-                }
-                let payload = payload_raw[..payload_raw.len() - pad].to_vec();
-                if payload.len() != reth.dma_len as usize {
-                    return Err(Error::Malformed);
-                }
-                Ok(RoceRepr::Write { bth, reth, payload })
-            }
-            Opcode::RcFetchAdd => Ok(RoceRepr::FetchAdd {
-                bth,
-                atomic: AtomicEthRepr::parse(rest)?,
-            }),
-            Opcode::RcCompareSwap => Ok(RoceRepr::CompareSwap {
-                bth,
-                atomic: AtomicEthRepr::parse(rest)?,
-            }),
-            op if op.has_aeth() => Ok(RoceRepr::Ack {
-                bth,
-                aeth: AethRepr::parse(rest)?,
-            }),
-            Opcode::UcSendOnly => {
-                if rest.len() < pad {
-                    return Err(Error::Truncated);
-                }
-                Ok(RoceRepr::Send {
-                    bth,
-                    payload: rest[..rest.len() - pad].to_vec(),
-                })
-            }
-            _ => Err(Error::Malformed),
-        }
+        RoceView::parse(data).map(|view| view.to_repr())
     }
 
     /// Size of the emitted transport packet (excluding iCRC).
     pub fn buffer_len(&self) -> usize {
         match self {
-            RoceRepr::Write { bth, payload, .. } => {
-                BTH_LEN + RETH_LEN + payload.len() + usize::from(bth.pad_count)
-            }
+            RoceRepr::Write { bth, payload, .. } => write_len(payload.len(), bth.pad_count),
             RoceRepr::FetchAdd { .. } | RoceRepr::CompareSwap { .. } => BTH_LEN + ATOMIC_ETH_LEN,
             RoceRepr::Ack { .. } => BTH_LEN + AETH_LEN,
             RoceRepr::Send { bth, payload } => BTH_LEN + payload.len() + usize::from(bth.pad_count),
@@ -639,15 +600,7 @@ impl RoceRepr {
     pub fn emit(&self, data: &mut [u8]) {
         match self {
             RoceRepr::Write { bth, reth, payload } => {
-                bth.emit(&mut Bth::new_unchecked(&mut data[..BTH_LEN]));
-                reth.emit(&mut data[BTH_LEN..BTH_LEN + RETH_LEN]);
-                let start = BTH_LEN + RETH_LEN;
-                data[start..start + payload.len()].copy_from_slice(payload);
-                for b in &mut data
-                    [start + payload.len()..start + payload.len() + usize::from(bth.pad_count)]
-                {
-                    *b = 0;
-                }
+                emit_write_headers(bth, reth, payload.len(), data).copy_from_slice(payload);
             }
             RoceRepr::FetchAdd { bth, atomic } | RoceRepr::CompareSwap { bth, atomic } => {
                 bth.emit(&mut Bth::new_unchecked(&mut data[..BTH_LEN]));
@@ -681,6 +634,152 @@ impl RoceRepr {
     }
 }
 
+/// Length of a WRITE transport packet carrying `payload_len` bytes plus
+/// `pad_count` pad bytes (excluding the iCRC).
+pub const fn write_len(payload_len: usize, pad_count: u8) -> usize {
+    BTH_LEN + RETH_LEN + payload_len + pad_count as usize
+}
+
+/// Emit a WRITE's BTH and RETH into `data` and zero its pad bytes,
+/// returning the `payload_len`-byte payload region between them so the
+/// caller can encode the payload in place.
+///
+/// # Panics
+/// Panics if `data` is shorter than [`write_len`] for this packet.
+pub fn emit_write_headers<'d>(
+    bth: &BthRepr,
+    reth: &RethRepr,
+    payload_len: usize,
+    data: &'d mut [u8],
+) -> &'d mut [u8] {
+    bth.emit(&mut Bth::new_unchecked(&mut data[..BTH_LEN]));
+    reth.emit(&mut data[BTH_LEN..BTH_LEN + RETH_LEN]);
+    let start = BTH_LEN + RETH_LEN;
+    let end = start + payload_len;
+    data[end..end + usize::from(bth.pad_count)].fill(0);
+    &mut data[start..end]
+}
+
+/// A parsed RoCEv2 transport packet whose payload stays borrowed from
+/// the receive buffer — what a NIC parses per frame. [`RoceRepr`] is
+/// the owned form; [`RoceView::to_repr`] converts.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum RoceView<'a> {
+    /// One-sided RDMA WRITE carrying `payload` to `reth.virtual_addr`.
+    Write {
+        /// Base transport header.
+        bth: BthRepr,
+        /// RDMA extended transport header.
+        reth: RethRepr,
+        /// Bytes to DMA (padding excluded).
+        payload: &'a [u8],
+    },
+    /// Fetch & Add on a 64-bit word.
+    FetchAdd {
+        /// Base transport header.
+        bth: BthRepr,
+        /// Atomic extended transport header (`swap_or_add` is the addend).
+        atomic: AtomicEthRepr,
+    },
+    /// Compare & Swap on a 64-bit word.
+    CompareSwap {
+        /// Base transport header.
+        bth: BthRepr,
+        /// Atomic extended transport header.
+        atomic: AtomicEthRepr,
+    },
+    /// Acknowledgement (RC only).
+    Ack {
+        /// Base transport header.
+        bth: BthRepr,
+        /// ACK extended transport header.
+        aeth: AethRepr,
+    },
+    /// SEND carrying a control-plane payload.
+    Send {
+        /// Base transport header.
+        bth: BthRepr,
+        /// Message payload (padding excluded).
+        payload: &'a [u8],
+    },
+}
+
+impl<'a> RoceView<'a> {
+    /// Parse an InfiniBand transport packet (UDP payload *without* the
+    /// iCRC trailer — strip it first, see [`icrc`]) without copying.
+    pub fn parse(data: &'a [u8]) -> Result<RoceView<'a>> {
+        let bth_view = Bth::new_checked(data)?;
+        let bth = BthRepr::parse(&bth_view)?;
+        let rest = &data[BTH_LEN..];
+        let pad = usize::from(bth.pad_count);
+        match bth.opcode {
+            op if op.has_reth() => {
+                let reth = RethRepr::parse(rest)?;
+                let payload_raw = &rest[RETH_LEN..];
+                if payload_raw.len() < pad {
+                    return Err(Error::Truncated);
+                }
+                let payload = &payload_raw[..payload_raw.len() - pad];
+                if payload.len() != reth.dma_len as usize {
+                    return Err(Error::Malformed);
+                }
+                Ok(RoceView::Write { bth, reth, payload })
+            }
+            Opcode::RcFetchAdd => Ok(RoceView::FetchAdd {
+                bth,
+                atomic: AtomicEthRepr::parse(rest)?,
+            }),
+            Opcode::RcCompareSwap => Ok(RoceView::CompareSwap {
+                bth,
+                atomic: AtomicEthRepr::parse(rest)?,
+            }),
+            op if op.has_aeth() => Ok(RoceView::Ack {
+                bth,
+                aeth: AethRepr::parse(rest)?,
+            }),
+            Opcode::UcSendOnly => {
+                if rest.len() < pad {
+                    return Err(Error::Truncated);
+                }
+                Ok(RoceView::Send {
+                    bth,
+                    payload: &rest[..rest.len() - pad],
+                })
+            }
+            _ => Err(Error::Malformed),
+        }
+    }
+
+    /// The BTH common to all variants.
+    pub fn bth(&self) -> &BthRepr {
+        match self {
+            RoceView::Write { bth, .. }
+            | RoceView::FetchAdd { bth, .. }
+            | RoceView::CompareSwap { bth, .. }
+            | RoceView::Ack { bth, .. }
+            | RoceView::Send { bth, .. } => bth,
+        }
+    }
+
+    /// The owned form, copying any payload.
+    pub fn to_repr(&self) -> RoceRepr {
+        match *self {
+            RoceView::Write { bth, reth, payload } => RoceRepr::Write {
+                bth,
+                reth,
+                payload: payload.to_vec(),
+            },
+            RoceView::FetchAdd { bth, atomic } => RoceRepr::FetchAdd { bth, atomic },
+            RoceView::CompareSwap { bth, atomic } => RoceRepr::CompareSwap { bth, atomic },
+            RoceView::Ack { bth, aeth } => RoceRepr::Ack { bth, aeth },
+            RoceView::Send { bth, payload } => RoceRepr::Send {
+                bth,
+                payload: payload.to_vec(),
+            },
+        }
+    }
+}
+
 pub mod icrc {
     //! RoCEv2 invariant CRC computation.
     //!
@@ -707,7 +806,7 @@ pub mod icrc {
         let mut digest = engine.digest();
 
         // Masked LRH stand-in.
-        digest.update_repeated(0xFF, 8);
+        digest.update(&[0xFF; 8]);
 
         // IPv4 header with TOS, TTL and checksum masked.
         let mut ip = [0u8; ipv4::HEADER_LEN];

@@ -3,10 +3,11 @@
 
 use proptest::prelude::*;
 
+use dta_wire::crc::{self, Crc16, Crc32};
 use dta_wire::dart::{ChecksumWidth, MultiWriteRepr, SlotLayout};
 use dta_wire::int::{HopMetadata, IntStack, MAX_HOPS};
 use dta_wire::roce::{
-    AethRepr, AtomicEthRepr, Bth, BthRepr, Opcode, Psn, RethRepr, RoceRepr, Syndrome,
+    AethRepr, AtomicEthRepr, Bth, BthRepr, Opcode, Psn, RethRepr, RoceRepr, RoceView, Syndrome,
 };
 use dta_wire::{ethernet, ipv4, udp, FiveTuple};
 
@@ -343,5 +344,115 @@ proptest! {
         let instructions = dta_wire::int::Instructions::from_bits(bits);
         let _ = dta_wire::int::RichIntStack::from_value_bytes(instructions, &bytes);
         let _ = dta_wire::int::RichHopMetadata::parse(instructions, &bytes);
+    }
+}
+
+/// Bit-at-a-time reflected CRC-32 (`init = xorout = 0xFFFFFFFF`): the
+/// definition the table-driven engines must reproduce.
+fn crc32_bitwise(poly_reflected: u32, data: &[u8]) -> u32 {
+    let mut crc = 0xFFFF_FFFFu32;
+    for &byte in data {
+        crc ^= u32::from(byte);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ poly_reflected
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    !crc
+}
+
+/// Bit-at-a-time reflected CRC-16 (`init = xorout = 0`).
+fn crc16_bitwise(poly_reflected: u16, data: &[u8]) -> u16 {
+    let mut crc = 0u16;
+    for &byte in data {
+        crc ^= u16::from(byte);
+        for _ in 0..8 {
+            crc = if crc & 1 != 0 {
+                (crc >> 1) ^ poly_reflected
+            } else {
+                crc >> 1
+            };
+        }
+    }
+    crc
+}
+
+/// A transport packet of `bth.opcode`'s shape, payload-carrying or not.
+fn packet_for(bth: BthRepr, va: u64, rkey: u32, word: u64, payload: Vec<u8>) -> RoceRepr {
+    let atomic = AtomicEthRepr {
+        virtual_addr: va,
+        rkey,
+        swap_or_add: word,
+        compare: !word,
+    };
+    match bth.opcode {
+        op if op.has_reth() => RoceRepr::Write {
+            bth,
+            reth: RethRepr {
+                virtual_addr: va,
+                rkey,
+                dma_len: payload.len() as u32,
+            },
+            payload,
+        },
+        Opcode::RcFetchAdd => RoceRepr::FetchAdd { bth, atomic },
+        Opcode::RcCompareSwap => RoceRepr::CompareSwap { bth, atomic },
+        op if op.has_aeth() => RoceRepr::Ack {
+            bth,
+            aeth: AethRepr {
+                syndrome: Syndrome::NakSequenceError,
+                msn: (word as u32) & 0x00FF_FFFF,
+            },
+        },
+        _ => RoceRepr::Send { bth, payload },
+    }
+}
+
+proptest! {
+    /// Every `static` table-driven engine equals the bit-at-a-time
+    /// definition of its polynomial.
+    #[test]
+    fn static_crc_engines_equal_bitwise_reference(data in proptest::collection::vec(any::<u8>(), 0..256)) {
+        for (engine, poly) in [
+            (Crc32::ieee(), crc::CRC32_IEEE),
+            (Crc32::castagnoli(), crc::CRC32_CASTAGNOLI),
+            (Crc32::koopman(), crc::CRC32_KOOPMAN),
+            (Crc32::q(), crc::CRC32_Q),
+        ] {
+            prop_assert_eq!(engine.checksum(&data), crc32_bitwise(poly, &data));
+        }
+        prop_assert_eq!(Crc16::arc().checksum(&data), crc16_bitwise(crc::CRC16_ARC, &data));
+        prop_assert_eq!(Crc16::kermit().checksum(&data), crc16_bitwise(crc::CRC16_CCITT, &data));
+    }
+
+    /// The borrowed view parses every opcode exactly as the owned
+    /// representation was emitted, with its payload pointing into the
+    /// receive buffer rather than copied.
+    #[test]
+    fn roce_view_parses_every_opcode_like_roce_repr(
+        bth in arb_bth(), va in any::<u64>(), rkey in any::<u32>(), word in any::<u64>(),
+        payload in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let repr = packet_for(bth, va, rkey, word, payload);
+        let mut buf = vec![0u8; repr.buffer_len()];
+        repr.emit(&mut buf);
+        let view = RoceView::parse(&buf).unwrap();
+        prop_assert_eq!(view.bth(), repr.bth());
+        prop_assert_eq!(&view.to_repr(), &repr);
+        prop_assert_eq!(RoceRepr::parse(&buf).unwrap(), repr);
+        if let RoceView::Write { payload, .. } | RoceView::Send { payload, .. } = view {
+            let range = buf.as_ptr_range();
+            prop_assert!(payload.is_empty() || range.contains(&payload.as_ptr()), "payload was copied");
+        }
+    }
+
+    /// On arbitrary bytes the view and the owned parse agree, errors
+    /// included.
+    #[test]
+    fn roce_view_agrees_with_roce_repr_on_arbitrary_bytes(bytes in proptest::collection::vec(any::<u8>(), 0..96)) {
+        prop_assert_eq!(RoceView::parse(&bytes).map(|v| v.to_repr()), RoceRepr::parse(&bytes));
     }
 }

@@ -1,0 +1,210 @@
+//! Allocation budgets of the per-report path: switch egress → collector
+//! NIC → query. A counting global allocator (per thread, so parallel
+//! tests do not disturb each other) pins how many heap allocations each
+//! step may make:
+//!
+//! * a Key-Write egress frame: at most 2 — the frame itself, plus the
+//!   flow's value bytes and report list shared by its `N` frames;
+//! * a delivered WRITE or FETCH_ADD: none (zero-copy parse, DMA in
+//!   place, the RC ACK described rather than serialized);
+//! * a point query on a healthy cluster: at most 4 — the candidate list,
+//!   the probe trace, and the answer in the trace and in the outcome.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
+
+use direct_telemetry_access::collector::CollectorCluster;
+use direct_telemetry_access::core::config::DartConfig;
+use direct_telemetry_access::core::hash::MappingKind;
+use direct_telemetry_access::core::primitive::increment_encode;
+use direct_telemetry_access::core::query::QueryOutcome;
+use direct_telemetry_access::core::PrimitiveSpec;
+use direct_telemetry_access::obs::Obs;
+use direct_telemetry_access::rdma::nic::RxAction;
+use direct_telemetry_access::switch::control_plane::ControlPlane;
+use direct_telemetry_access::switch::egress::{CraftedReport, EgressConfig};
+use direct_telemetry_access::switch::int_transit::IntSwitch;
+use direct_telemetry_access::switch::SwitchIdentity;
+use direct_telemetry_access::wire::int::{HopMetadata, IntStack};
+use direct_telemetry_access::wire::{ipv4, FiveTuple};
+
+struct Counting;
+
+thread_local! {
+    static ALLOCS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: the slot is gone while the thread tears down.
+    let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+}
+
+// SAFETY: every call forwards unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the thread-local counter is plain statistics
+// and never allocates.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc(layout)
+    }
+
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        count_one();
+        System.alloc_zeroed(layout)
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        count_one();
+        System.realloc(ptr, layout, new_size)
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Run `f`, returning its result and the allocations it made on this
+/// thread (reallocations included).
+fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
+    let before = ALLOCS.with(Cell::get);
+    let out = f();
+    (out, ALLOCS.with(Cell::get) - before)
+}
+
+const SLOTS: u64 = 1 << 12;
+const HOPS: usize = 5;
+
+/// A four-collector cluster, observed like `FatTreeSim` observes it, and
+/// one switch with its own queue pairs at every collector.
+fn system(primitive: PrimitiveSpec) -> (CollectorCluster, IntSwitch) {
+    let config = DartConfig::builder()
+        .slots(SLOTS)
+        .copies(2)
+        .value_len(HOPS * 4)
+        .collectors(4)
+        .mapping(MappingKind::Crc)
+        .primitive(primitive)
+        .build()
+        .unwrap();
+    let egress = EgressConfig {
+        copies: config.copies,
+        slots: SLOTS,
+        layout: config.layout,
+        collectors: 4,
+        udp_src_port: 49152,
+        primitive,
+    };
+    let mut cluster = CollectorCluster::new(config).unwrap();
+    cluster.attach_obs(&Obs::noop());
+    let mut switch = IntSwitch::new(SwitchIdentity::derived(3), egress, HOPS, 0x5EED).unwrap();
+    let directory = cluster.directory_for_switch();
+    ControlPlane::new()
+        .install_directory(switch.egress_mut(), &directory)
+        .unwrap();
+    (cluster, switch)
+}
+
+fn flow(i: u32) -> FiveTuple {
+    let b = i.to_be_bytes();
+    FiveTuple {
+        src_ip: ipv4::Address([10, b[1], b[2], b[3]]),
+        dst_ip: ipv4::Address([10, 1, b[3], b[2]]),
+        src_port: 1024 + (i % 50_000) as u16,
+        dst_port: 80,
+        protocol: 6,
+    }
+}
+
+fn path(i: u32) -> IntStack {
+    let mut stack = IntStack::new();
+    for hop in 0..(i as usize % HOPS) + 1 {
+        stack
+            .push(HopMetadata {
+                switch_id: 1 + hop as u32,
+            })
+            .unwrap();
+    }
+    stack
+}
+
+/// Deliver `reports`, asserting each frame costs no allocation and ends
+/// as `expect` says.
+fn deliver_free(
+    cluster: &mut CollectorCluster,
+    reports: Vec<CraftedReport>,
+    expect: impl Fn(&RxAction) -> bool,
+) {
+    for report in reports {
+        let (outcome, allocs) = allocs_during(|| cluster.deliver(&report.frame));
+        assert!(expect(&outcome.action), "unexpected {:?}", outcome.action);
+        assert_eq!(allocs, 0, "delivering {:?} allocated", outcome.action);
+    }
+}
+
+#[test]
+fn key_write_report_path_stays_within_budget() {
+    let (mut cluster, mut switch) = system(PrimitiveSpec::KeyWrite);
+    let flows = 200u32;
+    let mut frames = 0u64;
+    let mut egress_allocs = 0u64;
+    for i in 0..flows {
+        let stack = path(i);
+        let (reports, allocs) = allocs_during(|| switch.report_all_copies(&flow(i), &stack));
+        let reports = reports.unwrap();
+        frames += reports.len() as u64;
+        egress_allocs += allocs;
+        deliver_free(&mut cluster, reports, |action| {
+            matches!(action, RxAction::WriteExecuted { .. })
+        });
+    }
+    assert_eq!(frames, 2 * u64::from(flows));
+    assert!(
+        egress_allocs <= 2 * frames,
+        "{egress_allocs} allocations for {frames} egress frames"
+    );
+
+    // Reported keys answer, never-reported keys come back empty; both
+    // within the query budget.
+    for i in 0..flows + 50 {
+        let key = flow(i).to_bytes();
+        let (outcome, allocs) = allocs_during(|| cluster.try_query(&key));
+        let outcome = outcome.unwrap();
+        if i < flows {
+            assert!(outcome.is_answer(), "flow {i} unanswered");
+        } else {
+            assert_eq!(outcome, QueryOutcome::Empty);
+        }
+        assert!(allocs <= 4, "query {i}: {allocs} allocations");
+    }
+}
+
+#[test]
+fn fetch_add_delivery_allocates_nothing() {
+    let (mut cluster, mut switch) = system(PrimitiveSpec::KeyIncrement);
+    let delta = increment_encode(1);
+    for i in 0..100u32 {
+        let key = flow(i).to_bytes();
+        let reports = switch.egress_mut().craft(&key, &delta).unwrap();
+        assert_eq!(reports.len(), 2);
+        for report in reports {
+            let (outcome, allocs) = allocs_during(|| cluster.deliver(&report.frame));
+            assert!(
+                matches!(outcome.action, RxAction::AtomicExecuted { .. }),
+                "unexpected {:?}",
+                outcome.action
+            );
+            assert!(outcome.response.is_some(), "RC atomics are ACKed");
+            assert_eq!(allocs, 0, "delivering a FETCH_ADD allocated");
+        }
+    }
+    assert_eq!(cluster.total_atomics(), 200);
+    let (outcome, allocs) = allocs_during(|| cluster.try_query(&flow(7).to_bytes()));
+    assert_eq!(
+        outcome.unwrap(),
+        QueryOutcome::Answer(1u64.to_be_bytes().to_vec())
+    );
+    assert!(allocs <= 4, "{allocs} allocations for a counter query");
+}
