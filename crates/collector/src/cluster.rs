@@ -366,6 +366,13 @@ pub struct CollectorCluster {
     obs: Option<ClusterObs>,
 }
 
+// Queries take `&self` and only read collector memory, so one cluster
+// can serve query threads that share it.
+const _: fn() = || {
+    fn s<T: Send + Sync>() {}
+    s::<CollectorCluster>();
+};
+
 impl CollectorCluster {
     /// Bring up `config.collectors` collectors, each with
     /// `config.slots` slots.
@@ -675,55 +682,32 @@ impl CollectorCluster {
         self.mapping.collector(key, self.config.collectors)
     }
 
-    /// Query a key: hash to the owning collector, query locally there
-    /// (the four steps of §3.2). Unreachable collectors read as
-    /// [`QueryOutcome::Empty`]; use [`CollectorCluster::try_query`] to
-    /// distinguish them.
-    pub fn query(&mut self, key: &[u8]) -> QueryOutcome {
-        let policy = self.config.policy;
-        self.query_with_policy(key, policy)
-    }
-
-    /// Query under an explicit policy, failover-aware.
-    pub fn query_with_policy(&mut self, key: &[u8], policy: ReturnPolicy) -> QueryOutcome {
-        self.try_query_with_policy(key, policy)
-            .unwrap_or(QueryOutcome::Empty)
-    }
-
-    /// Query under the configured policy, surfacing unreachable
-    /// collectors as [`QueryError`] instead of folding them into `Empty`.
-    pub fn try_query(&mut self, key: &[u8]) -> Result<QueryOutcome, QueryError> {
-        let policy = self.config.policy;
-        self.try_query_with_policy(key, policy)
-    }
-
-    /// Query under an explicit policy, checking the primary and failover
-    /// locations (freshest first) and erroring only when *no* location
-    /// is reachable.
-    pub fn try_query_with_policy(
-        &mut self,
-        key: &[u8],
-        policy: ReturnPolicy,
-    ) -> Result<QueryOutcome, QueryError> {
-        self.try_query_explain(key, policy).outcome
+    /// Query a key under the configured policy: hash to the owning
+    /// collector and query locally there (the four steps of §3.2).
+    /// Unreachable collectors surface as [`QueryError`], not as `Empty`.
+    pub fn try_query(&self, key: &[u8]) -> Result<QueryOutcome, QueryError> {
+        self.explain(key, self.config.policy).outcome
     }
 
     /// Explain a query under the configured default policy — see
-    /// [`CollectorCluster::try_query_explain`].
-    pub fn query_explain(&mut self, key: &[u8]) -> ClusterQueryExplain {
-        let policy = self.config.policy;
-        self.try_query_explain(key, policy)
+    /// [`CollectorCluster::explain`].
+    pub fn query_explain(&self, key: &[u8]) -> ClusterQueryExplain {
+        self.explain(key, self.config.policy)
     }
 
-    /// Query under an explicit policy and narrate every step: the
-    /// collector the key hashes to, the failover routing the liveness
-    /// mask produced, each candidate's per-slot probes (which checksums
-    /// matched), and why the return policy answered or abstained.
+    /// Query under `policy` and narrate every step: the collector the
+    /// key hashes to, the failover routing the liveness mask produced,
+    /// each candidate's per-slot probes (which checksums matched), and
+    /// why the return policy answered or abstained. Primary and failover
+    /// locations are read freshest first; the outcome is an error only
+    /// when *no* location is reachable.
     ///
-    /// This *is* the query path — [`CollectorCluster::try_query_with_policy`]
-    /// is a thin wrapper over it — so the trace can never drift from the
-    /// answer operators actually received.
-    pub fn try_query_explain(&mut self, key: &[u8], policy: ReturnPolicy) -> ClusterQueryExplain {
+    /// This *is* the query path — [`CollectorCluster::try_query`] and
+    /// [`CollectorCluster::query_explain`] are default-policy wrappers
+    /// over it — so the trace can never drift from the answer operators
+    /// actually received. It only reads collector memory, so any number
+    /// of threads may query one `&CollectorCluster` at once.
+    pub fn explain(&self, key: &[u8], policy: ReturnPolicy) -> ClusterQueryExplain {
         let key_collector = self.collector_of(key);
         let routing = match failover_collector(self.mapping.as_ref(), key, self.liveness) {
             FailoverTarget::Primary(p) => QueryRouting::Primary(p),
@@ -761,7 +745,7 @@ impl CollectorCluster {
                 continue;
             }
             any_reachable = true;
-            let mut explain = self.collectors[id as usize].query_explain_with_policy(key, policy);
+            let mut explain = self.collectors[id as usize].query_explain(key, policy);
             // The answering slots of a swept key are re-replicated
             // copies, not the original switch writes — surface that in
             // the trace (and in the decision event) so operators can see
@@ -1426,10 +1410,21 @@ mod tests {
 
     #[test]
     fn empty_query_routes_somewhere() {
-        let mut cluster = CollectorCluster::new(config(3)).unwrap();
-        assert_eq!(cluster.query(b"ghost-key"), QueryOutcome::Empty);
+        let cluster = CollectorCluster::new(config(3)).unwrap();
+        let explain = cluster.query_explain(b"ghost-key");
+        assert_eq!(explain.outcome, Ok(QueryOutcome::Empty));
         let id = cluster.collector_of(b"ghost-key");
-        assert_eq!(cluster.collector(id).unwrap().queries_served(), 1);
+        assert_eq!(consulted(&explain), vec![id]);
+    }
+
+    /// The collectors whose memory a query actually read.
+    fn consulted(explain: &ClusterQueryExplain) -> Vec<u32> {
+        explain
+            .candidates
+            .iter()
+            .filter(|c| c.reachable && c.explain.is_some())
+            .map(|c| c.collector)
+            .collect()
     }
 
     /// A frame addressed to collector `index` (valid Ethernet+IPv4
@@ -1517,15 +1512,15 @@ mod tests {
             cluster.try_query(key),
             Err(QueryError::CollectorUnreachable { collector: primary })
         );
-        assert_eq!(cluster.query(key), QueryOutcome::Empty);
         // Control plane flips the mask: the survivor answers (Empty — no
         // data written — but no error).
         let mut mask = cluster.liveness_mask();
         mask.set_live(primary, false);
         cluster.set_liveness_mask(mask);
-        assert_eq!(cluster.try_query(key), Ok(QueryOutcome::Empty));
+        let explain = cluster.query_explain(key);
+        assert_eq!(explain.outcome, Ok(QueryOutcome::Empty));
         let survivor = 1 - primary;
-        assert_eq!(cluster.collector(survivor).unwrap().queries_served(), 1);
+        assert_eq!(consulted(&explain), vec![survivor]);
     }
 
     #[test]
@@ -1535,8 +1530,9 @@ mod tests {
         let primary = cluster.collector_of(key);
         cluster.set_health(primary, CollectorHealth::Blackholed);
         // Host is up — queries reach it even though its NIC eats frames.
-        assert_eq!(cluster.try_query(key), Ok(QueryOutcome::Empty));
-        assert_eq!(cluster.collector(primary).unwrap().queries_served(), 1);
+        let explain = cluster.query_explain(key);
+        assert_eq!(explain.outcome, Ok(QueryOutcome::Empty));
+        assert_eq!(consulted(&explain), vec![primary]);
     }
 
     #[test]
@@ -1633,7 +1629,8 @@ mod tests {
 
         // A query probes both copies and answers from the matching one.
         let outcome = cluster
-            .try_query_with_policy(key, ReturnPolicy::FirstMatch)
+            .explain(key, ReturnPolicy::FirstMatch)
+            .outcome
             .unwrap();
         assert_eq!(outcome, QueryOutcome::Answer(vec![2u8; 20]));
         assert_eq!(
@@ -1663,7 +1660,8 @@ mod tests {
 
         // Detection window: the query is unreachable, and says so.
         assert!(cluster
-            .try_query_with_policy(key, ReturnPolicy::FirstMatch)
+            .explain(key, ReturnPolicy::FirstMatch)
+            .outcome
             .is_err());
         assert_eq!(
             registry.counter_value("dta_cluster_queries_unreachable_total"),

@@ -39,7 +39,6 @@ pub struct DartCollector {
     endpoint: RemoteEndpoint,
     handle: MemoryHandle,
     engine: OwnedQueryEngine,
-    queries: u64,
     /// Sealed epoch snapshots, oldest first (§5.2.1's historical tier).
     epochs: Vec<Vec<u8>>,
 }
@@ -74,7 +73,6 @@ impl DartCollector {
             endpoint,
             handle,
             engine,
-            queries: 0,
             epochs: Vec::new(),
         })
     }
@@ -138,38 +136,23 @@ impl DartCollector {
         self.device.nic().counters()
     }
 
-    /// Queries served (the only CPU work this collector ever does).
-    pub fn queries_served(&self) -> u64 {
-        self.queries
-    }
-
     /// The NIC data path: feed one frame from the wire.
     pub fn receive_frame(&mut self, frame: &[u8]) -> RxOutcome {
         self.device.nic_mut().handle_frame(frame)
     }
 
-    /// Query a key under the configured default policy.
-    pub fn query(&mut self, key: &[u8]) -> QueryOutcome {
-        self.query_with_policy(key, self.engine.config().policy)
+    /// Query a key under the configured default policy — the only CPU
+    /// work this collector ever does, and a pure read of the region the
+    /// NIC writes.
+    pub fn query(&self, key: &[u8]) -> QueryOutcome {
+        self.with_view(|view| view.query(key))
     }
 
-    /// Query a key under an explicit policy.
-    pub fn query_with_policy(&mut self, key: &[u8], policy: ReturnPolicy) -> QueryOutcome {
-        self.queries += 1;
-        self.handle
-            .with(|memory| self.engine.query_with_policy(memory, key, policy))
-            .expect("region geometry matches config by construction")
-    }
-
-    /// Query a key under an explicit policy, returning the full §3.2
-    /// trace — which slots were probed, which checksums matched, and why
-    /// the return policy answered or abstained — instead of just the
-    /// outcome.
-    pub fn query_explain_with_policy(&mut self, key: &[u8], policy: ReturnPolicy) -> StoreExplain {
-        self.queries += 1;
-        self.handle
-            .with(|memory| self.engine.query_explain(memory, key, policy))
-            .expect("region geometry matches config by construction")
+    /// Query a key under `policy`, returning the full §3.2 trace — which
+    /// slots were probed, which checksums matched, and why the return
+    /// policy answered or abstained — alongside the outcome.
+    pub fn query_explain(&self, key: &[u8], policy: ReturnPolicy) -> StoreExplain {
+        self.with_view(|view| view.query_explain(key, policy))
     }
 
     /// Direct read access to the telemetry region (for snapshots /
@@ -246,13 +229,12 @@ impl DartCollector {
     }
 
     /// Query a key within a sealed historical epoch.
-    pub fn query_epoch(&mut self, epoch: u64, key: &[u8]) -> Result<QueryOutcome, DartError> {
+    pub fn query_epoch(&self, epoch: u64, key: &[u8]) -> Result<QueryOutcome, DartError> {
         let memory = self
             .epochs
             .get(epoch as usize)
             .ok_or(DartError::UnknownEpoch(epoch))?;
-        self.queries += 1;
-        self.engine.query(memory, key)
+        Ok(self.engine.view(memory)?.query(key))
     }
 }
 
@@ -261,7 +243,6 @@ impl core::fmt::Debug for DartCollector {
         f.debug_struct("DartCollector")
             .field("index", &self.index)
             .field("endpoint", &self.endpoint)
-            .field("queries", &self.queries)
             .finish_non_exhaustive()
     }
 }
@@ -345,13 +326,12 @@ mod tests {
             );
         }
         assert_eq!(collector.query(b"flow-1"), QueryOutcome::Answer(value));
-        assert_eq!(collector.queries_served(), 1);
         assert_eq!(collector.nic_counters().writes, 2);
     }
 
     #[test]
     fn unreported_key_empty() {
-        let mut collector = DartCollector::new(0, config()).unwrap();
+        let collector = DartCollector::new(0, config()).unwrap();
         assert_eq!(collector.query(b"nothing"), QueryOutcome::Empty);
     }
 
@@ -407,7 +387,9 @@ mod tests {
             "{outcome:?}"
         );
         assert_eq!(
-            collector.query_with_policy(b"after", dta_core::query::ReturnPolicy::FirstMatch),
+            collector
+                .query_explain(b"after", dta_core::query::ReturnPolicy::FirstMatch)
+                .outcome,
             QueryOutcome::Answer(vec![2u8; 20])
         );
     }

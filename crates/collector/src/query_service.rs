@@ -83,13 +83,13 @@ impl RecoveryStatus {
 
 /// The typed query console.
 pub struct QueryService<'a> {
-    cluster: &'a mut CollectorCluster,
+    cluster: &'a CollectorCluster,
     stats: ServiceStats,
 }
 
 impl<'a> QueryService<'a> {
     /// Wrap a cluster.
-    pub fn new(cluster: &'a mut CollectorCluster) -> QueryService<'a> {
+    pub fn new(cluster: &'a CollectorCluster) -> QueryService<'a> {
         QueryService {
             cluster,
             stats: ServiceStats::default(),
@@ -102,7 +102,9 @@ impl<'a> QueryService<'a> {
     }
 
     fn run<T>(&mut self, key: Vec<u8>, decode: impl FnOnce(&[u8]) -> Option<T>) -> Answer<T> {
-        match self.cluster.query(&key) {
+        // An unreachable collector reads as Empty to the operator; the
+        // explain lens tells the two apart.
+        match self.cluster.try_query(&key).unwrap_or(QueryOutcome::Empty) {
             QueryOutcome::Empty => {
                 self.stats.empty += 1;
                 Answer::Empty
@@ -194,21 +196,18 @@ impl<'a> QueryService<'a> {
         )
     }
 
-    /// The full §3.2 trace for a raw key under the cluster's default
-    /// policy: which collector the key hashed to, the failover routing
-    /// taken, the `N` slots probed (and which checksums matched), and
-    /// why the return policy answered or abstained.
+    /// The full §3.2 trace for the path question (Table 1 row 1): why
+    /// did "what path did this flow take?" answer — or not? Which
+    /// collector the key hashed to, the failover routing taken, the `N`
+    /// slots probed (and which checksums matched), and why the return
+    /// policy answered or abstained. For any other raw key, ask the
+    /// cluster directly ([`CollectorCluster::query_explain`]).
     ///
     /// Does not touch [`ServiceStats`] — explain is a diagnostic lens,
     /// not an operator question.
-    pub fn explain_key(&mut self, key: &[u8]) -> ClusterQueryExplain {
-        self.cluster.query_explain(key)
-    }
-
-    /// [`QueryService::explain_key`] for the path question (Table 1
-    /// row 1): why did "what path did this flow take?" answer — or not?
-    pub fn explain_int_path(&mut self, flow: &FiveTuple) -> ClusterQueryExplain {
-        self.explain_key(&IntPathBackend::encode_key(flow))
+    pub fn explain_int_path(&self, flow: &FiveTuple) -> ClusterQueryExplain {
+        self.cluster
+            .query_explain(&IntPathBackend::encode_key(flow))
     }
 
     /// The recovery dashboard: in-flight sweeps, parked failover
@@ -339,16 +338,16 @@ mod tests {
             stack.push(HopMetadata { switch_id: id }).unwrap();
         }
         let record = IntPathBackend::record(&flow(), &stack);
-        let mut cluster = cluster_with(&[record]);
-        let mut service = QueryService::new(&mut cluster);
+        let cluster = cluster_with(&[record]);
+        let mut service = QueryService::new(&cluster);
         assert_eq!(service.int_path(&flow()), Answer::Value(vec![5, 6, 7]));
         assert_eq!(service.stats().answered, 1);
     }
 
     #[test]
     fn empty_answers_counted() {
-        let mut cluster = cluster_with(&[]);
-        let mut service = QueryService::new(&mut cluster);
+        let cluster = cluster_with(&[]);
+        let mut service = QueryService::new(&cluster);
         assert_eq!(service.int_path(&flow()), Answer::Empty);
         assert_eq!(service.postcard(9, flow()), Answer::Empty);
         assert_eq!(service.mirror_answer(1), Answer::Empty);
@@ -383,11 +382,11 @@ mod tests {
             event_data: 7,
             count: 6,
         };
-        let mut cluster = cluster_with(&[
+        let cluster = cluster_with(&[
             AnomalyBackend::record(&key1, &ev1),
             AnomalyBackend::record(&key2, &ev2),
         ]);
-        let mut service = QueryService::new(&mut cluster);
+        let mut service = QueryService::new(&cluster);
         let profile = service.anomaly_profile(flow());
         assert_eq!(profile.len(), 2);
         assert!(profile.contains(&(AnomalyKind::Drop, ev1)));
@@ -399,8 +398,8 @@ mod tests {
         let mut stack = IntStack::new();
         stack.push(HopMetadata { switch_id: 5 }).unwrap();
         let record = IntPathBackend::record(&flow(), &stack);
-        let mut cluster = cluster_with(&[record]);
-        let mut service = QueryService::new(&mut cluster);
+        let cluster = cluster_with(&[record]);
+        let service = QueryService::new(&cluster);
         let explain = service.explain_int_path(&flow());
         assert_eq!(explain.answered_by, Some(explain.key_collector));
         assert!(explain.outcome.unwrap().is_answer());
@@ -412,8 +411,8 @@ mod tests {
 
     #[test]
     fn recovery_dashboard_settles_on_a_healthy_cluster() {
-        let mut cluster = cluster_with(&[]);
-        let service = QueryService::new(&mut cluster);
+        let cluster = cluster_with(&[]);
+        let service = QueryService::new(&cluster);
         let status = service.recovery_status();
         assert!(status.settled());
         assert_eq!(status.active_sweeps, 0);

@@ -356,17 +356,12 @@ impl DartStore {
 
     /// Query under the configured default policy.
     pub fn query(&self, key: &[u8]) -> QueryOutcome {
-        self.query_with_policy(key, self.config.policy)
+        self.view().query(key)
     }
 
-    /// Query under an explicit policy (§4: the policy is a per-query
-    /// decision, no stored state changes).
-    pub fn query_with_policy(&self, key: &[u8], policy: ReturnPolicy) -> QueryOutcome {
-        self.view().query_with_policy(key, policy)
-    }
-
-    /// Query `key` and trace every slot probed plus the policy's
-    /// reasoning.
+    /// Query `key` under `policy` (§4: the policy is a per-query
+    /// decision, no stored state changes) and trace every slot probed
+    /// plus the policy's reasoning.
     pub fn query_explain(&self, key: &[u8], policy: ReturnPolicy) -> StoreExplain {
         self.view().query_explain(key, policy)
     }
@@ -521,17 +516,12 @@ impl<'a> StoreView<'a> {
         Ok((slot, word))
     }
 
-    /// Query under an explicit policy.
+    /// Query under the configuration's default policy.
     ///
     /// The plain query *is* the explain path minus the trace — the two
     /// can never disagree, whatever the primitive.
-    pub fn query_with_policy(&self, key: &[u8], policy: ReturnPolicy) -> QueryOutcome {
-        self.query_explain(key, policy).outcome
-    }
-
-    /// Query under the configuration's default policy.
     pub fn query(&self, key: &[u8]) -> QueryOutcome {
-        self.query_with_policy(key, self.config.policy)
+        self.query_explain(key, self.config.policy).outcome
     }
 
     /// Query `key` and trace every slot probed plus the policy's
@@ -702,34 +692,6 @@ impl OwnedQueryEngine {
         &self.config
     }
 
-    /// Query `key` against `memory` under the default policy.
-    pub fn query(&self, memory: &[u8], key: &[u8]) -> Result<QueryOutcome, DartError> {
-        self.query_with_policy(memory, key, self.config.policy)
-    }
-
-    /// Query `key` against `memory` under an explicit policy.
-    pub fn query_with_policy(
-        &self,
-        memory: &[u8],
-        key: &[u8],
-        policy: ReturnPolicy,
-    ) -> Result<QueryOutcome, DartError> {
-        let view = StoreView::over(&self.config, self.mapping.as_ref(), memory)?;
-        Ok(view.query_with_policy(key, policy))
-    }
-
-    /// Query `key` against `memory` and trace every slot probed plus
-    /// the policy's reasoning.
-    pub fn query_explain(
-        &self,
-        memory: &[u8],
-        key: &[u8],
-        policy: ReturnPolicy,
-    ) -> Result<StoreExplain, DartError> {
-        let view = StoreView::over(&self.config, self.mapping.as_ref(), memory)?;
-        Ok(view.query_explain(key, policy))
-    }
-
     /// A [`StoreView`] over `memory` using this engine's mapping.
     pub fn view<'a>(&'a self, memory: &'a [u8]) -> Result<StoreView<'a>, DartError> {
         StoreView::over(&self.config, self.mapping.as_ref(), memory)
@@ -853,7 +815,7 @@ mod tests {
         let mut store = DartStore::new(cfg.clone());
         store.insert(b"k1", &value(7)).unwrap();
         let engine = OwnedQueryEngine::new(cfg).unwrap();
-        let outcome = engine.query(store.memory(), b"k1").unwrap();
+        let outcome = engine.view(store.memory()).unwrap().query(b"k1");
         assert_eq!(outcome, QueryOutcome::Answer(value(7)));
     }
 
@@ -861,7 +823,7 @@ mod tests {
     fn owned_engine_rejects_bad_geometry() {
         let engine = OwnedQueryEngine::new(config(64)).unwrap();
         assert!(matches!(
-            engine.query(&[0u8; 5], b"k"),
+            engine.view(&[0u8; 5]),
             Err(DartError::GeometryMismatch { .. })
         ));
     }
@@ -946,12 +908,17 @@ mod tests {
                 ReturnPolicy::Plurality,
                 ReturnPolicy::Consensus(2),
             ] {
-                let explain = store.query_explain(key.as_bytes(), policy);
                 assert_eq!(
-                    explain.outcome,
-                    store.query_with_policy(key.as_bytes(), policy)
+                    store.query_explain(key.as_bytes(), policy),
+                    store.view().query_explain(key.as_bytes(), policy)
                 );
             }
+            assert_eq!(
+                store.query(key.as_bytes()),
+                store
+                    .query_explain(key.as_bytes(), store.config().policy)
+                    .outcome
+            );
         }
     }
 
@@ -962,12 +929,11 @@ mod tests {
         store.insert(b"k1", &value(7)).unwrap();
         let engine = OwnedQueryEngine::new(cfg).unwrap();
         let explain = engine
-            .query_explain(store.memory(), b"k1", ReturnPolicy::UniqueValue)
-            .unwrap();
+            .view(store.memory())
+            .unwrap()
+            .query_explain(b"k1", ReturnPolicy::UniqueValue);
         assert_eq!(explain.outcome, QueryOutcome::Answer(value(7)));
-        assert!(engine
-            .query_explain(&[0u8; 3], b"k1", ReturnPolicy::UniqueValue)
-            .is_err());
+        assert!(engine.view(&[0u8; 3]).is_err());
     }
 
     fn append_config(slots: u64, ring_capacity: u64) -> DartConfig {
@@ -1147,11 +1113,13 @@ mod tests {
         store.insert_copy(b"k1", &value(1), 0).unwrap();
         // Consensus(2) needs both copies; only one was written.
         assert_eq!(
-            store.query_with_policy(b"k1", ReturnPolicy::Consensus(2)),
+            store
+                .query_explain(b"k1", ReturnPolicy::Consensus(2))
+                .outcome,
             QueryOutcome::Empty
         );
         assert_eq!(
-            store.query_with_policy(b"k1", ReturnPolicy::FirstMatch),
+            store.query_explain(b"k1", ReturnPolicy::FirstMatch).outcome,
             QueryOutcome::Answer(value(1))
         );
     }

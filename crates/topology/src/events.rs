@@ -178,9 +178,10 @@ impl EventSim {
         stats
     }
 
-    /// Operator query: the collected path of a flow.
-    pub fn query_path(&mut self, tuple: &FiveTuple) -> Option<Vec<u32>> {
-        match self.cluster.query(&tuple.to_bytes()) {
+    /// Operator query: the collected path of a flow (`None` when the
+    /// flow was never collected or its collector is unreachable).
+    pub fn query_path(&self, tuple: &FiveTuple) -> Option<Vec<u32>> {
+        match self.cluster.try_query(&tuple.to_bytes()).ok()? {
             QueryOutcome::Answer(value) => IntStack::from_value_bytes(&value)
                 .ok()
                 .map(|s| s.switch_ids().into_iter().filter(|&id| id != 0).collect()),

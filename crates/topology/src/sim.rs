@@ -600,15 +600,10 @@ impl FatTreeSim {
         Ok(())
     }
 
-    /// Query one previously reported flow.
-    pub fn query_flow(&mut self, tuple: &FiveTuple) -> QueryOutcome {
-        self.cluster.query(&tuple.to_bytes())
-    }
-
-    /// Query one flow, surfacing unreachable collectors as errors
-    /// (instead of folding them into `Empty`).
+    /// Query one previously reported flow under the configured policy,
+    /// surfacing unreachable collectors as errors (not as `Empty`).
     pub fn try_query_flow(
-        &mut self,
+        &self,
         tuple: &FiveTuple,
     ) -> Result<QueryOutcome, dta_collector::QueryError> {
         self.cluster.try_query(&tuple.to_bytes())
@@ -620,7 +615,8 @@ impl FatTreeSim {
     ///
     /// Postcard truths are not entered into the aging bookkeeping (their
     /// key space is disjoint from the in-band keys); query them back via
-    /// [`FatTreeSim::query_postcard`].
+    /// [`dta_collector::QueryService::postcard`] over
+    /// [`FatTreeSim::cluster`].
     pub fn run_flow_postcards(&mut self) -> Result<(FiveTuple, Vec<u32>), SimError> {
         use dta_telemetry::event::Backend;
         use dta_telemetry::postcard::{PostcardBackend, PostcardKey};
@@ -698,45 +694,9 @@ impl FatTreeSim {
         Ok((flow.tuple, route))
     }
 
-    /// Query a postcard event log: "what has `switch_id` recently
-    /// measured for this flow?" — oldest first.
-    pub fn query_postcard_log(
-        &mut self,
-        switch_id: u32,
-        tuple: &FiveTuple,
-    ) -> Option<Vec<dta_telemetry::postcard::LocalMeasurement>> {
-        use dta_telemetry::postcard::{PostcardBackend, PostcardKey};
-        let key = PostcardBackend::encode_log_key(&PostcardKey {
-            switch_id,
-            flow: *tuple,
-        });
-        match self.cluster.query(&key) {
-            QueryOutcome::Answer(window) => PostcardBackend::decode_log(&window).ok(),
-            QueryOutcome::Empty => None,
-        }
-    }
-
-    /// Query a postcard: "what did `switch_id` measure for this flow?"
-    pub fn query_postcard(
-        &mut self,
-        switch_id: u32,
-        tuple: &FiveTuple,
-    ) -> Option<dta_telemetry::postcard::LocalMeasurement> {
-        use dta_telemetry::event::Backend;
-        use dta_telemetry::postcard::{PostcardBackend, PostcardKey};
-        let key = PostcardBackend::encode_key(&PostcardKey {
-            switch_id,
-            flow: *tuple,
-        });
-        match self.cluster.query(&key) {
-            QueryOutcome::Answer(value) => PostcardBackend::decode_value(&value).ok(),
-            QueryOutcome::Empty => None,
-        }
-    }
-
     /// Query every reported flow and tally outcomes into `buckets` age
     /// buckets (oldest first).
-    pub fn query_all(&mut self, buckets: usize) -> SimReport {
+    pub fn query_all(&self, buckets: usize) -> SimReport {
         let buckets = buckets.max(1);
         let total = self.truths.len().max(1);
         let mut correct = 0u64;
@@ -746,8 +706,7 @@ impl FatTreeSim {
         let mut bucket_correct = vec![0u64; buckets];
         let mut bucket_total = vec![0u64; buckets];
 
-        let truths = std::mem::take(&mut self.truths);
-        for (i, (tuple, truth)) in truths.iter().enumerate() {
+        for (i, (tuple, truth)) in self.truths.iter().enumerate() {
             let bucket = i * buckets / total;
             bucket_total[bucket] += 1;
             match self.cluster.try_query(&tuple.to_bytes()) {
@@ -762,7 +721,6 @@ impl FatTreeSim {
                 },
             }
         }
-        self.truths = truths;
 
         // Fold the §5 outcome tallies onto the registry, so exporters
         // see the same numbers the report carries.
@@ -812,7 +770,8 @@ impl FatTreeSim {
     }
 
     /// Mutable access to the cluster (chaos tests inject unscheduled
-    /// faults or query with explicit policies through this).
+    /// faults through this). Queries, explicit-policy ones included, are
+    /// reads and go through [`FatTreeSim::cluster`].
     pub fn cluster_mut(&mut self) -> &mut CollectorCluster {
         &mut self.cluster
     }
@@ -830,6 +789,7 @@ impl core::fmt::Debug for FatTreeSim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use dta_collector::QueryService;
 
     #[test]
     fn low_load_everything_queryable() {
@@ -861,7 +821,7 @@ mod tests {
         })
         .unwrap();
         let tuple = sim.run_flow().unwrap();
-        match sim.query_flow(&tuple) {
+        match sim.try_query_flow(&tuple).unwrap() {
             QueryOutcome::Answer(value) => {
                 let path = dta_telemetry::int_path::IntPathBackend::decode_path(&value).unwrap();
                 assert!(!path.is_empty() && path.len() <= 5);
@@ -941,9 +901,11 @@ mod tests {
         let (tuple, route) = sim.run_flow_postcards().unwrap();
         assert!(!route.is_empty());
         // One query per (switch, flow) reconstructs the whole path view.
-        for (hop, &switch_id) in route.clone().iter().enumerate() {
-            let m = sim
-                .query_postcard(switch_id, &tuple)
+        let mut service = QueryService::new(sim.cluster());
+        for (hop, &switch_id) in route.iter().enumerate() {
+            let m = service
+                .postcard(switch_id, tuple)
+                .value()
                 .unwrap_or_else(|| panic!("postcard from switch {switch_id} lost"));
             assert_eq!(m, FatTreeSim::synthetic_measurement(hop as u32, switch_id));
         }
@@ -954,7 +916,7 @@ mod tests {
             .into_iter()
             .find(|id| !route.contains(id))
             .expect("k=4 has 20 switches");
-        assert!(sim.query_postcard(off_route, &tuple).is_none());
+        assert!(!service.postcard(off_route, tuple).is_value());
     }
 
     #[test]
@@ -1030,7 +992,7 @@ mod tests {
         )
         .unwrap();
         let tuple = sim.run_flow().unwrap();
-        assert!(sim.query_flow(&tuple).is_answer());
+        assert!(sim.try_query_flow(&tuple).unwrap().is_answer());
 
         // One flow's full life, in causal order: the sink egress crafts
         // N = 2 copies, the link carries them, the NIC writes two slots,
@@ -1111,9 +1073,11 @@ mod tests {
         let (tuple, route) = sim.run_flow_postcard_log().unwrap();
         let (tuple2, _) = sim.run_flow_postcard_log().unwrap();
         assert_ne!(tuple, tuple2, "flowgen produces distinct flows here");
-        for (hop, &switch_id) in route.clone().iter().enumerate() {
-            let log = sim
-                .query_postcard_log(switch_id, &tuple)
+        let mut service = QueryService::new(sim.cluster());
+        for (hop, &switch_id) in route.iter().enumerate() {
+            let log = service
+                .postcard_log(switch_id, tuple)
+                .value()
                 .unwrap_or_else(|| panic!("log from switch {switch_id} lost"));
             assert_eq!(
                 log,
@@ -1137,11 +1101,10 @@ mod tests {
         // whose copy slots are shared with another flow reads a *merged*
         // (inflated) total — that is Key-Increment's intrinsic collision
         // mode, bounded here, and exactness holds for everyone else.
-        let truths = sim.truths.clone();
         let mut merged = 0u64;
-        for (tuple, truth) in &truths {
+        for (tuple, truth) in &sim.truths {
             let expected = u64::from_be_bytes(truth.as_slice().try_into().unwrap());
-            match sim.query_flow(tuple) {
+            match sim.try_query_flow(tuple).unwrap() {
                 QueryOutcome::Empty => panic!("loss-free increments cannot vanish"),
                 QueryOutcome::Answer(bytes) => {
                     let total = u64::from_be_bytes(bytes.as_slice().try_into().unwrap());
@@ -1175,11 +1138,10 @@ mod tests {
         assert!(sim.tx.stats().dropped > 0, "loss model must bite");
         // The min-over-copies answer is conservative: totals may lag the
         // truth (lost FETCH_ADDs) but can never exceed it.
-        let truths = sim.truths.clone();
         let mut lagging = 0u64;
-        for (tuple, truth) in &truths {
+        for (tuple, truth) in &sim.truths {
             let expected = u64::from_be_bytes(truth.as_slice().try_into().unwrap());
-            match sim.query_flow(tuple) {
+            match sim.try_query_flow(tuple).unwrap() {
                 QueryOutcome::Empty => lagging += 1,
                 QueryOutcome::Answer(bytes) => {
                     let total = u64::from_be_bytes(bytes.as_slice().try_into().unwrap());

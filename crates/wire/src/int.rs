@@ -37,57 +37,62 @@ impl HopMetadata {
 ///
 /// The first entry is the hop closest to the source (entries are appended
 /// in path order by our pipeline; real INT pushes at the head, which is an
-/// equivalent choice as long as source and sink agree).
-#[derive(Debug, Clone, PartialEq, Eq, Default)]
+/// equivalent choice as long as source and sink agree). Like the header
+/// stack a switch parser allots, it has room for [`MAX_HOPS`] entries
+/// inline, so transit processing never allocates.
+#[derive(Clone)]
 pub struct IntStack {
-    hops: Vec<HopMetadata>,
+    hops: [HopMetadata; MAX_HOPS],
+    len: usize,
 }
 
 impl IntStack {
     /// An empty stack.
     pub fn new() -> IntStack {
-        IntStack::default()
+        IntStack {
+            hops: [HopMetadata { switch_id: 0 }; MAX_HOPS],
+            len: 0,
+        }
     }
 
     /// Append one hop. Returns [`Error::Overflow`] past [`MAX_HOPS`].
     pub fn push(&mut self, hop: HopMetadata) -> Result<()> {
-        if self.hops.len() >= MAX_HOPS {
-            return Err(Error::Overflow);
-        }
-        self.hops.push(hop);
+        let slot = self.hops.get_mut(self.len).ok_or(Error::Overflow)?;
+        *slot = hop;
+        self.len += 1;
         Ok(())
     }
 
     /// Number of hops recorded.
     pub fn len(&self) -> usize {
-        self.hops.len()
+        self.len
     }
 
     /// Whether the stack is empty.
     pub fn is_empty(&self) -> bool {
-        self.hops.is_empty()
+        self.len == 0
     }
 
     /// The recorded hops in path order.
     pub fn hops(&self) -> &[HopMetadata] {
-        &self.hops
+        &self.hops[..self.len]
     }
 
     /// The path as switch IDs.
     pub fn switch_ids(&self) -> Vec<u32> {
-        self.hops.iter().map(|h| h.switch_id).collect()
+        self.hops().iter().map(|h| h.switch_id).collect()
     }
 
     /// Encode as a DART value: each hop as a 32-bit big-endian word.
     /// Five hops yield the paper's 160-bit value.
     pub fn to_value_bytes(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(self.hops.len() * HopMetadata::WIRE_LEN);
+        let mut out = Vec::with_capacity(self.len * HopMetadata::WIRE_LEN);
         self.extend_value_bytes(&mut out);
         out
     }
 
     fn extend_value_bytes(&self, out: &mut Vec<u8>) {
-        for hop in &self.hops {
+        for hop in self.hops() {
             out.extend_from_slice(&hop.switch_id.to_be_bytes());
         }
     }
@@ -115,7 +120,7 @@ impl IntStack {
     /// Encode padded with zero words to exactly `hops` entries — DART
     /// slots are fixed-size, so shorter paths are zero-padded.
     pub fn to_padded_value_bytes(&self, hops: usize) -> Result<Vec<u8>> {
-        if self.hops.len() > hops {
+        if self.len > hops {
             return Err(Error::Overflow);
         }
         // One allocation: sized for the padding up front.
@@ -123,6 +128,29 @@ impl IntStack {
         self.extend_value_bytes(&mut out);
         out.resize(hops * HopMetadata::WIRE_LEN, 0);
         Ok(out)
+    }
+}
+
+impl Default for IntStack {
+    fn default() -> IntStack {
+        IntStack::new()
+    }
+}
+
+/// Only live hops compare: slots past `len` are scratch.
+impl PartialEq for IntStack {
+    fn eq(&self, other: &IntStack) -> bool {
+        self.hops() == other.hops()
+    }
+}
+
+impl Eq for IntStack {}
+
+impl core::fmt::Debug for IntStack {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_struct("IntStack")
+            .field("hops", &self.hops())
+            .finish()
     }
 }
 
@@ -429,6 +457,17 @@ mod tests {
         let mut s = stack(&[0; 9]);
         assert_eq!(s.push(HopMetadata { switch_id: 10 }), Err(Error::Overflow));
         assert_eq!(IntStack::from_value_bytes(&[0u8; 40]), Err(Error::Overflow));
+    }
+
+    #[test]
+    fn stacks_compare_and_print_live_hops_only() {
+        assert_eq!(IntStack::new(), IntStack::default());
+        assert_eq!(stack(&[1, 2]), stack(&[1, 2]));
+        assert_ne!(stack(&[1, 2]), stack(&[1, 2, 0]));
+        assert_eq!(
+            format!("{:?}", stack(&[7])),
+            "IntStack { hops: [HopMetadata { switch_id: 7 }] }"
+        );
     }
 
     #[test]

@@ -115,7 +115,7 @@ fn main() {
             AnomalyKind::PathChange,
         ] {
             let key = AnomalyBackend::encode_key(&AnomalyKey { flow: f, kind });
-            match cluster.query(&key) {
+            match cluster.try_query(&key).expect("every collector is up") {
                 QueryOutcome::Answer(value) => {
                     let event = AnomalyBackend::decode_value(&value).unwrap();
                     println!(

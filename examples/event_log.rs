@@ -117,7 +117,7 @@ fn main() {
     // Operator: the query returns the retained window, oldest first.
     for key in [&listkey[..], &flaps[..]] {
         println!("query {:?}:", String::from_utf8_lossy(key));
-        match cluster.query(key) {
+        match cluster.try_query(key).expect("every collector is up") {
             QueryOutcome::Answer(log) => {
                 for entry in log.chunks_exact(VALUE_LEN) {
                     println!("  {}", decode(entry));
@@ -126,7 +126,7 @@ fn main() {
             QueryOutcome::Empty => println!("  (no events)"),
         }
     }
-    match cluster.query(listkey) {
+    match cluster.try_query(listkey).expect("every collector is up") {
         QueryOutcome::Answer(log) => {
             let window = log.len() / VALUE_LEN;
             assert_eq!(window as u64, CAPACITY, "ring keeps exactly W events");

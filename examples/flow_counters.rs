@@ -180,7 +180,7 @@ fn main() {
     }
 
     for &(key, packets, bytes) in traffic {
-        match cluster.query(key) {
+        match cluster.try_query(key).expect("every collector is up") {
             QueryOutcome::Answer(word) => {
                 let total = u64::from_be_bytes(word.try_into().unwrap());
                 println!(

@@ -46,7 +46,7 @@ fn main() {
 
     // Query one specific flow and decode its path.
     let probe = sim.run_flow().expect("one more flow");
-    match sim.query_flow(&probe) {
+    match sim.try_query_flow(&probe).expect("every collector is up") {
         QueryOutcome::Answer(value) => {
             let path = IntPathBackend::decode_path(&value).expect("valid path bytes");
             println!("\nexample query — flow {probe}");

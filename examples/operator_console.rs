@@ -140,7 +140,7 @@ fn main() {
     );
 
     // The console session.
-    let mut console = QueryService::new(&mut cluster);
+    let mut console = QueryService::new(&cluster);
 
     match console.int_path(&flow()) {
         Answer::Value(path) => println!("? path of {}\n  -> {path:?}", flow()),

@@ -8,7 +8,8 @@
 //! * a delivered WRITE or FETCH_ADD: none (zero-copy parse, DMA in
 //!   place, the RC ACK described rather than serialized);
 //! * a point query on a healthy cluster: at most 4 — the candidate list,
-//!   the probe trace, and the answer in the trace and in the outcome.
+//!   the probe trace, and the answer in the trace and in the outcome;
+//! * a data packet crossing five INT hops: none (the stack is inline).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -23,7 +24,7 @@ use direct_telemetry_access::obs::Obs;
 use direct_telemetry_access::rdma::nic::RxAction;
 use direct_telemetry_access::switch::control_plane::ControlPlane;
 use direct_telemetry_access::switch::egress::{CraftedReport, EgressConfig};
-use direct_telemetry_access::switch::int_transit::IntSwitch;
+use direct_telemetry_access::switch::int_transit::{IntPacket, IntRole, IntSwitch};
 use direct_telemetry_access::switch::SwitchIdentity;
 use direct_telemetry_access::wire::int::{HopMetadata, IntStack};
 use direct_telemetry_access::wire::{ipv4, FiveTuple};
@@ -207,4 +208,25 @@ fn fetch_add_delivery_allocates_nothing() {
         QueryOutcome::Answer(1u64.to_be_bytes().to_vec())
     );
     assert!(allocs <= 4, "{allocs} allocations for a counter query");
+}
+
+#[test]
+fn int_transit_allocates_nothing() {
+    let (_, mut switch) = system(PrimitiveSpec::KeyWrite);
+    let roles = [
+        IntRole::Source,
+        IntRole::Transit,
+        IntRole::Transit,
+        IntRole::Transit,
+        IntRole::Transit,
+    ];
+    let (packet, allocs) = allocs_during(|| {
+        let mut packet = IntPacket::new(flow(1));
+        for role in roles {
+            assert!(switch.process(&mut packet, role).unwrap().is_none());
+        }
+        packet
+    });
+    assert_eq!(packet.stack.len(), HOPS);
+    assert_eq!(allocs, 0, "INT transit over {HOPS} hops allocated");
 }

@@ -102,7 +102,7 @@ fn tail_wrap_sacrifices_only_the_zero_sequence_entry() {
 
     // Seqs 1..=3 survive (the newest lap); the seq-0 entry is the torn
     // head the wrap costs, and MAX-1/MAX were lapped by seqs 2 and 3.
-    match cluster.query(listkey) {
+    match cluster.try_query(listkey).unwrap() {
         QueryOutcome::Answer(log) => {
             let window: Vec<&[u8]> = log.chunks_exact(VALUE_LEN).collect();
             assert_eq!(window.len(), 3, "exactly the seq-0 entry is lost");
@@ -148,7 +148,7 @@ fn psn_and_tail_wrap_together_mid_burst() {
     // The window ordering survived the double wrap (seq-0 sacrificed,
     // then seq 4 = value 9 pushed seq 1 out of the capacity-4 window).
     cluster.deliver(&next.frame);
-    match cluster.query(listkey) {
+    match cluster.try_query(listkey).unwrap() {
         QueryOutcome::Answer(log) => {
             let window: Vec<&[u8]> = log.chunks_exact(VALUE_LEN).collect();
             assert_eq!(window.len(), 4);

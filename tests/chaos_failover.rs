@@ -169,7 +169,7 @@ fn crash_under_loss_keeps_increments_conservative() {
     let mut lagging = 0u64;
     let mut merged = 0u64;
     for (tuple, &truth) in &expected {
-        match sim.query_flow(tuple) {
+        match sim.try_query_flow(tuple).unwrap() {
             QueryOutcome::Empty => lagging += 1,
             QueryOutcome::Answer(bytes) => {
                 let total = u64::from_be_bytes(bytes.as_slice().try_into().unwrap());
@@ -419,7 +419,10 @@ fn recovery_never_serves_stale_pre_crash_values() {
 
     let v1 = [0x11; VALUE_LEN];
     write(&mut egress, &mut cluster, key, &v1);
-    assert_eq!(cluster.query(key), QueryOutcome::Answer(v1.to_vec()));
+    assert_eq!(
+        cluster.try_query(key),
+        Ok(QueryOutcome::Answer(v1.to_vec()))
+    );
 
     // Crash + detection.
     cluster.set_health(primary, CollectorHealth::Crashed);
@@ -429,7 +432,10 @@ fn recovery_never_serves_stale_pre_crash_values() {
     // Writes during the outage land at the failover target and answer.
     let v2 = [0x22; VALUE_LEN];
     write(&mut egress, &mut cluster, key, &v2);
-    assert_eq!(cluster.query(key), QueryOutcome::Answer(v2.to_vec()));
+    assert_eq!(
+        cluster.try_query(key),
+        Ok(QueryOutcome::Answer(v2.to_vec()))
+    );
 
     // Recovery wipes the crashed host; the control plane revives it.
     cluster.recover(primary);
@@ -438,7 +444,7 @@ fn recovery_never_serves_stale_pre_crash_values() {
     // The pre-crash value is gone with the wipe, and until the sweep
     // lands the outage-era value is stranded at the failover target
     // (shadowed by the live primary) — but *stale* data never surfaces.
-    assert_eq!(cluster.query(key), QueryOutcome::Empty);
+    assert_eq!(cluster.try_query(key), Ok(QueryOutcome::Empty));
 
     // The re-replication sweep copies the outage-era value home.
     run_sweep(
@@ -448,13 +454,19 @@ fn recovery_never_serves_stale_pre_crash_values() {
         outage_mask,
         SweepConfig::default(),
     );
-    assert_eq!(cluster.query(key), QueryOutcome::Answer(v2.to_vec()));
+    assert_eq!(
+        cluster.try_query(key),
+        Ok(QueryOutcome::Answer(v2.to_vec()))
+    );
     assert!(cluster.key_restored(key));
 
     // Re-written post-recovery: the fresh value, nothing older.
     let v3 = [0x33; VALUE_LEN];
     write(&mut egress, &mut cluster, key, &v3);
-    assert_eq!(cluster.query(key), QueryOutcome::Answer(v3.to_vec()));
+    assert_eq!(
+        cluster.try_query(key),
+        Ok(QueryOutcome::Answer(v3.to_vec()))
+    );
 }
 
 /// The double-fault guarantee: a primary that crashes *again* mid-sweep
@@ -484,7 +496,10 @@ fn double_fault_mid_sweep_never_loses_the_last_copy() {
     let value = [0x5A; VALUE_LEN];
     for key in &keys {
         write(&mut egress, &mut cluster, key, &value);
-        assert_eq!(cluster.query(key), QueryOutcome::Answer(value.to_vec()));
+        assert_eq!(
+            cluster.try_query(key),
+            Ok(QueryOutcome::Answer(value.to_vec()))
+        );
     }
 
     // Recover; the sweep starts, one key per batch.
@@ -522,8 +537,8 @@ fn double_fault_mid_sweep_never_loses_the_last_copy() {
     // No value lost: every failover copy survived the aborted sweep.
     for key in &keys {
         assert_eq!(
-            cluster.query(key),
-            QueryOutcome::Answer(value.to_vec()),
+            cluster.try_query(key),
+            Ok(QueryOutcome::Answer(value.to_vec())),
             "double fault lost the last copy"
         );
     }
@@ -539,7 +554,10 @@ fn double_fault_mid_sweep_never_loses_the_last_copy() {
         SweepConfig::default(),
     );
     for key in &keys {
-        assert_eq!(cluster.query(key), QueryOutcome::Answer(value.to_vec()));
+        assert_eq!(
+            cluster.try_query(key),
+            Ok(QueryOutcome::Answer(value.to_vec()))
+        );
         assert!(cluster.key_restored(key));
     }
     let stats = cluster.rerepl_stats();
@@ -629,7 +647,10 @@ fn failover_reads_shadow_stale_blackholed_primary() {
 
     // Both locations are reachable; the failover target is fresher and
     // must win. Returning v1 here would be a stale read.
-    assert_eq!(cluster.query(key), QueryOutcome::Answer(v2.to_vec()));
+    assert_eq!(
+        cluster.try_query(key),
+        Ok(QueryOutcome::Answer(v2.to_vec()))
+    );
 }
 
 // ---------------------------------------------------------------------

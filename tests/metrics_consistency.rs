@@ -302,10 +302,8 @@ fn explain_outcomes_tally_with_plain_queries() {
         QueryClass::ReturnError => 2,
     };
     for (key, truth) in &keys {
-        let plain = cluster
-            .try_query_with_policy(key, ReturnPolicy::FirstMatch)
-            .unwrap();
-        let explain = cluster.try_query_explain(key, ReturnPolicy::FirstMatch);
+        let plain = cluster.try_query(key).unwrap();
+        let explain = cluster.explain(key, ReturnPolicy::FirstMatch);
         assert_eq!(Ok(plain.clone()), explain.outcome, "paths diverged");
         plain_tally[index(classify(&plain, truth))] += 1;
         explain_tally[index(classify(&explain.outcome.unwrap(), truth))] += 1;

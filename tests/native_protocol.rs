@@ -99,8 +99,9 @@ fn one_packet_answers_queries_like_n_writes() {
     assert_eq!(nic.counters().fanout_writes, 400);
 
     let memory = nic.nic().mr(RKEY).unwrap().handle().snapshot();
+    let view = engine.view(&memory).unwrap();
     for i in 0..200u64 {
-        let outcome = engine.query(&memory, &i.to_le_bytes()).unwrap();
+        let outcome = view.query(&i.to_le_bytes());
         assert_eq!(outcome, QueryOutcome::Answer(vec![i as u8; 20]), "key {i}");
     }
 }
@@ -153,12 +154,7 @@ fn multiwrite_and_standard_writes_coexist() {
         ));
     }
     let memory = nic.nic().mr(RKEY).unwrap().handle().snapshot();
-    assert_eq!(
-        engine.query(&memory, b"key-A").unwrap(),
-        QueryOutcome::Answer(vec![0xAA; 20])
-    );
-    assert_eq!(
-        engine.query(&memory, b"key-B").unwrap(),
-        QueryOutcome::Answer(vec![0xBB; 20])
-    );
+    let view = engine.view(&memory).unwrap();
+    assert_eq!(view.query(b"key-A"), QueryOutcome::Answer(vec![0xAA; 20]));
+    assert_eq!(view.query(b"key-B"), QueryOutcome::Answer(vec![0xBB; 20]));
 }

@@ -1,16 +1,15 @@
-//! Property test for the explain contract: `query` and `query_explain`
-//! can never disagree — on the answer, or on the reason given for it —
-//! no matter what store the fabric built.
+//! Property test for the explain contract: a query and its explain
+//! trace can never disagree — on the answer, or on the reason given for
+//! it — no matter what store the fabric built.
 //!
-//! The plain query *is* the explain path minus the trace (both
-//! `StoreView::query_with_policy` and `CollectorCluster::
-//! try_query_with_policy` are thin wrappers over their explain
-//! counterparts), so this test is the tripwire that keeps any future
-//! "fast path" from drifting: random report streams through the real
-//! egress → lossy link → NIC pipeline, random collector faults, every
-//! return policy, all three translation primitives — and for every key
-//! the two paths must return the identical outcome while the narrated
-//! [`DecisionReason`] stays coherent with it.
+//! `CollectorCluster::explain` is the one query implementation;
+//! `try_query` and `query_explain` are default-policy wrappers over it,
+//! so this test is the tripwire that keeps any future "fast path" from
+//! drifting: random report streams through the real egress → lossy
+//! link → NIC pipeline, random collector faults, every return policy,
+//! all three translation primitives — and for every key the wrappers
+//! must return exactly what `explain` returns while the narrated
+//! [`DecisionReason`] stays coherent with the outcome.
 
 use direct_telemetry_access::collector::{CollectorCluster, CollectorHealth, SweepConfig};
 use direct_telemetry_access::core::config::DartConfig;
@@ -53,8 +52,8 @@ fn key_bytes(index: usize) -> Vec<u8> {
 }
 
 /// One switch egress + cluster pair under `primitive`, wired through the
-/// control plane like the sim does.
-fn rig(primitive: PrimitiveSpec) -> (DartEgress, CollectorCluster) {
+/// control plane like the sim does, plus the cluster's default policy.
+fn rig(primitive: PrimitiveSpec) -> (DartEgress, CollectorCluster, ReturnPolicy) {
     let config = DartConfig::builder()
         .slots(SLOTS)
         .value_len(12)
@@ -66,6 +65,7 @@ fn rig(primitive: PrimitiveSpec) -> (DartEgress, CollectorCluster) {
         .unwrap();
     let layout = config.layout;
     let copies = config.copies;
+    let policy = config.policy;
     let mut cluster = CollectorCluster::new(config).unwrap();
     let directory = cluster.directory_for_switch();
     let mut egress = DartEgress::new(
@@ -84,7 +84,7 @@ fn rig(primitive: PrimitiveSpec) -> (DartEgress, CollectorCluster) {
     ControlPlane::new()
         .install_directory(&mut egress, &directory)
         .unwrap();
-    (egress, cluster)
+    (egress, cluster, policy)
 }
 
 /// The report value byte `b` turns into under each primitive:
@@ -167,29 +167,37 @@ fn assert_store_coherent(
     Ok(())
 }
 
-/// The whole explain contract, checked for every key under every
-/// policy: identical outcomes on both paths, attribution in step with
-/// the answer, and a coherent narrated reason in every consulted store.
+/// The whole explain contract, checked for every key: the
+/// default-policy wrappers return exactly what `explain` returns under
+/// `default_policy`, and under every policy attribution is in step
+/// with the answer and every consulted store narrates a coherent
+/// reason.
 /// Runs repeatedly — after ingest, mid-outage, and at every sweep batch
 /// boundary — so no phase of the failover lifecycle escapes it.
 fn assert_paths_agree(
     primitive: PrimitiveSpec,
-    cluster: &mut CollectorCluster,
+    cluster: &CollectorCluster,
+    default_policy: ReturnPolicy,
 ) -> Result<(), TestCaseError> {
     for key_index in 0..KEYS {
         let key = key_bytes(key_index);
+        // The contract: the wrappers are `explain` under the default
+        // policy, outcome and trace alike.
+        let explain = cluster.explain(&key, default_policy);
+        prop_assert_eq!(
+            &cluster.try_query(&key),
+            &explain.outcome,
+            "try_query diverged from explain under {:?}",
+            primitive
+        );
+        prop_assert_eq!(
+            &cluster.query_explain(&key),
+            &explain,
+            "query_explain diverged from explain under {:?}",
+            primitive
+        );
         for policy in POLICIES {
-            let explain = cluster.try_query_explain(&key, policy);
-            let plain = cluster.try_query_with_policy(&key, policy);
-
-            // The contract: identical outcome, both calls.
-            prop_assert_eq!(
-                &plain,
-                &explain.outcome,
-                "paths diverged under {:?}/{:?}",
-                primitive,
-                policy
-            );
+            let explain = cluster.explain(&key, policy);
 
             // `answered_by` names a collector exactly when there is
             // an answer to attribute.
@@ -243,7 +251,7 @@ proptest! {
         sweep_batch in 1usize..4,
     ) {
         let primitive = primitive_from(primitive_index);
-        let (mut egress, mut cluster) = rig(primitive);
+        let (mut egress, mut cluster, default_policy) = rig(primitive);
         let value_len = egress.config().layout.value_len;
 
         // Random reports through the real pipeline, under random loss.
@@ -273,7 +281,7 @@ proptest! {
             _ => {}
         }
 
-        assert_paths_agree(primitive, &mut cluster)?;
+        assert_paths_agree(primitive, &cluster, default_policy)?;
 
         // ── Recovery phase: crash a primary, keep writing through the
         // failover path, recover it, then drive the re-replication
@@ -298,7 +306,7 @@ proptest! {
         for frame in rx.drain() {
             cluster.deliver(&frame);
         }
-        assert_paths_agree(primitive, &mut cluster)?;
+        assert_paths_agree(primitive, &cluster, default_policy)?;
 
         cluster.recover(victim);
         egress.set_collector_liveness(victim, true).unwrap();
@@ -337,8 +345,8 @@ proptest! {
             }
             // The two paths may never disagree, even between batches of
             // a half-finished sweep.
-            assert_paths_agree(primitive, &mut cluster)?;
+            assert_paths_agree(primitive, &cluster, default_policy)?;
         }
-        assert_paths_agree(primitive, &mut cluster)?;
+        assert_paths_agree(primitive, &cluster, default_policy)?;
     }
 }

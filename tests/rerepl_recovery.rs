@@ -178,7 +178,7 @@ fn swept_outage_keys_answer_under_every_primitive_and_policy() {
         for (i, key) in keys.iter().enumerate() {
             let expected = value_for(primitive, i);
             for policy in POLICIES {
-                match cluster.try_query_with_policy(key, policy) {
+                match cluster.explain(key, policy).outcome {
                     Ok(QueryOutcome::Answer(bytes)) => assert_eq!(
                         bytes, expected,
                         "{primitive:?}/{policy:?}: wrong value after sweep"
@@ -196,7 +196,7 @@ fn swept_outage_keys_answer_under_every_primitive_and_policy() {
             // Keys the sweep carried home narrate their provenance.
             if cluster.collector_of(key) == CRASHED {
                 assert!(cluster.key_restored(key), "{primitive:?}: not restored");
-                let explain = cluster.try_query_explain(key, ReturnPolicy::FirstMatch);
+                let explain = cluster.explain(key, ReturnPolicy::FirstMatch);
                 let store = explain
                     .candidates
                     .iter()

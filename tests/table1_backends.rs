@@ -91,7 +91,7 @@ fn postcards_ride_the_full_packet_path() {
     // (switch, flow) pair.
     for (i, &switch_id) in switch_ids.iter().enumerate() {
         let key = PostcardBackend::encode_key(&PostcardKey { switch_id, flow });
-        match cluster.query(&key) {
+        match cluster.try_query(&key).unwrap() {
             QueryOutcome::Answer(value) => {
                 let m = PostcardBackend::decode_value(&value).unwrap();
                 assert_eq!(m.hop_latency, 120);
