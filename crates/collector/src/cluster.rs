@@ -24,6 +24,7 @@ use dta_core::query::{DecisionReason, QueryOutcome, ReturnPolicy};
 use dta_core::store::StoreExplain;
 use dta_core::{DartError, PrimitiveSpec};
 use dta_obs::{Counter, EventKind, Obs};
+use dta_rdma::link::FrameArena;
 use dta_rdma::nic::{DropReason, RxAction, RxOutcome};
 use dta_rdma::verbs::RemoteEndpoint;
 use dta_wire::roce::{AtomicEthRepr, BthRepr, Opcode, Psn, RethRepr, RoceRepr};
@@ -576,6 +577,20 @@ impl CollectorCluster {
             Some(Self::PROBE_BASE_RTT + u64::from(index % 4))
         } else {
             None
+        }
+    }
+
+    /// Deliver a batch of frames, in order, as the receiving end of the
+    /// switch link: each frame is logged as a delivered
+    /// [`EventKind::LinkFrame`], then routed like
+    /// [`CollectorCluster::deliver`]. The frames are read in place from
+    /// the arena, so a warm batch allocates nothing.
+    pub fn deliver_batch(&mut self, frames: &FrameArena) {
+        for frame in frames.iter() {
+            if let Some(o) = &self.obs {
+                o.obs.event(EventKind::LinkFrame { delivered: true });
+            }
+            self.deliver(frame);
         }
     }
 

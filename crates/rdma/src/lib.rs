@@ -19,7 +19,9 @@
 //! * [`native`] — the §7 SmartNIC extension: one packet carrying a list
 //!   of slot addresses, fanned out into `N` DMA writes.
 //! * [`link`] — a lossy, reordering link model connecting switches to
-//!   collectors (crossbeam channels underneath).
+//!   collectors, carrying batches of frames in a reusable
+//!   [`link::FrameArena`] (or single owned frames over a crossbeam
+//!   channel, for switch and collector on separate threads).
 //! * [`verbs`] — the host-side API: register memory, create QPs, export
 //!   the [`verbs::RemoteEndpoint`] descriptor that the switch control
 //!   plane loads into its collector lookup table.
@@ -31,6 +33,7 @@
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
+mod id_table;
 pub mod link;
 pub mod mr;
 pub mod native;

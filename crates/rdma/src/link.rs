@@ -5,8 +5,18 @@
 //! query path absorbs it (§3). This module injects exactly those faults
 //! so the robustness claims can be exercised: Bernoulli loss, bounded
 //! random reordering, and deterministic "drop every n-th frame" patterns
-//! for reproducible tests. Frames move over crossbeam channels so
-//! switch and collector can also run on separate threads.
+//! for reproducible tests.
+//!
+//! The fault models have one implementation, which decides each frame's
+//! fate in offer order and is generic over how a frame is held. The
+//! report hot path uses it over a [`FrameArena`]: a batch of frames
+//! crafted into one reusable byte buffer, which
+//! [`LinkTx::transmit`] rewrites in place into the frames the link
+//! delivered, in wire order, without copying or allocating. The
+//! one-frame [`LinkTx::send`] / [`LinkRx::try_recv`] pair moves owned
+//! frames over a crossbeam channel instead, so switch and collector can
+//! run on separate threads; both paths draw the same RNG values in the
+//! same order and deliver the same bytes.
 
 use crossbeam::channel::{unbounded, Receiver, Sender};
 use rand::rngs::StdRng;
@@ -85,61 +95,135 @@ pub struct LinkStats {
     pub burst_drops: u64,
 }
 
-/// The transmitting end of a link.
-pub struct LinkTx {
-    tx: Sender<Vec<u8>>,
+/// Where one frame's bytes sit in a [`FrameArena`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct FrameRange {
+    start: usize,
+    end: usize,
+}
+
+/// A batch of frames in one byte buffer: each frame is a range of it.
+///
+/// Switch egress crafts a report's frames straight into the arena, the
+/// link rewrites the range list into the frames it delivered, and the
+/// collector fabric reads them in place. [`FrameArena::clear`] keeps
+/// both buffers' capacity, so a warm arena is reused without
+/// allocating. Ranges may repeat (a duplicated frame) and need not
+/// follow byte order (a reordered pair).
+#[derive(Debug, Clone, Default)]
+pub struct FrameArena {
+    bytes: Vec<u8>,
+    frames: Vec<FrameRange>,
+}
+
+impl FrameArena {
+    /// An empty arena.
+    pub fn new() -> FrameArena {
+        FrameArena::default()
+    }
+
+    /// An empty arena with room for `frames` frames of `bytes` bytes in
+    /// total before it first grows.
+    pub fn with_capacity(frames: usize, bytes: usize) -> FrameArena {
+        FrameArena {
+            bytes: Vec::with_capacity(bytes),
+            frames: Vec::with_capacity(frames),
+        }
+    }
+
+    /// Number of frames.
+    pub fn len(&self) -> usize {
+        self.frames.len()
+    }
+
+    /// Whether the arena holds no frames.
+    pub fn is_empty(&self) -> bool {
+        self.frames.is_empty()
+    }
+
+    /// The frames in order.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[u8]> + '_ {
+        self.frames.iter().map(|r| &self.bytes[r.start..r.end])
+    }
+
+    /// Append a copy of `frame`.
+    pub fn push(&mut self, frame: &[u8]) {
+        let range = self.append_bytes(frame);
+        self.frames.push(range);
+    }
+
+    /// Append a `len`-byte frame that `fill` writes in place, into a
+    /// zeroed buffer.
+    pub fn push_with(&mut self, len: usize, fill: impl FnOnce(&mut [u8])) {
+        let start = self.bytes.len();
+        self.bytes.resize(start + len, 0);
+        fill(&mut self.bytes[start..]);
+        self.frames.push(FrameRange {
+            start,
+            end: start + len,
+        });
+    }
+
+    /// Keep only the first `frames` frames (their bytes stay until
+    /// [`FrameArena::clear`]).
+    pub fn truncate(&mut self, frames: usize) {
+        self.frames.truncate(frames);
+    }
+
+    /// Remove every frame, keeping the buffers' capacity.
+    pub fn clear(&mut self) {
+        self.bytes.clear();
+        self.frames.clear();
+    }
+
+    fn append_bytes(&mut self, frame: &[u8]) -> FrameRange {
+        let start = self.bytes.len();
+        self.bytes.extend_from_slice(frame);
+        FrameRange {
+            start,
+            end: self.bytes.len(),
+        }
+    }
+
+    fn bytes_of(&self, range: FrameRange) -> &[u8] {
+        &self.bytes[range.start..range.end]
+    }
+}
+
+/// The fault models' state: which frames to drop, swap or duplicate.
+struct Faults {
     model: FaultModel,
     rng: StdRng,
     count: u64,
     stats: LinkStats,
-    pending: Option<Vec<u8>>,
     ge_bad: bool,
 }
 
-/// The receiving end of a link.
-pub struct LinkRx {
-    rx: Receiver<Vec<u8>>,
-}
-
-/// Create a link with the given fault model and RNG seed.
-pub fn link(model: FaultModel, seed: u64) -> (LinkTx, LinkRx) {
-    let (tx, rx) = unbounded();
-    (
-        LinkTx {
-            tx,
-            model,
-            rng: StdRng::seed_from_u64(seed),
-            count: 0,
-            stats: LinkStats::default(),
-            pending: None,
-            ge_bad: false,
-        },
-        LinkRx { rx },
-    )
-}
-
-impl LinkTx {
-    /// Offer a frame to the link; the fault model decides its fate.
-    pub fn send(&mut self, frame: Vec<u8>) {
+impl Faults {
+    /// Decide the fate of one offered frame. `held` is the frame the
+    /// reorder models keep back for pairing; `deliver` receives the
+    /// delivered frames in wire order. `F` is however the caller holds a
+    /// frame: an arena range or an owned buffer.
+    fn offer<F: Clone>(&mut self, frame: F, held: &mut Option<F>, deliver: &mut impl FnMut(F)) {
         self.count += 1;
         self.stats.sent += 1;
         match self.model {
-            FaultModel::Perfect => self.deliver(frame),
+            FaultModel::Perfect => self.deliver(frame, deliver),
             FaultModel::Bernoulli { loss } => {
                 if self.rng.gen::<f64>() < loss {
                     self.stats.dropped += 1;
                 } else {
-                    self.deliver(frame);
+                    self.deliver(frame, deliver);
                 }
             }
             FaultModel::DropNth { n } => {
                 if n != 0 && self.count % n == 0 {
                     self.stats.dropped += 1;
                 } else {
-                    self.deliver(frame);
+                    self.deliver(frame, deliver);
                 }
             }
-            FaultModel::Reorder { prob } => self.reorder_send(frame, prob),
+            FaultModel::Reorder { prob } => self.reorder(frame, prob, held, deliver),
             FaultModel::GilbertElliott {
                 to_bad,
                 to_good,
@@ -160,62 +244,146 @@ impl LinkTx {
                         self.stats.burst_drops += 1;
                     }
                 } else {
-                    self.deliver(frame);
+                    self.deliver(frame, deliver);
                 }
             }
             FaultModel::Duplicate { prob } => {
-                let dup = self.rng.gen::<f64>() < prob;
-                if dup {
+                if self.rng.gen::<f64>() < prob {
                     self.stats.duplicated += 1;
-                    self.deliver(frame.clone());
+                    self.deliver(frame.clone(), deliver);
                 }
-                self.deliver(frame);
+                self.deliver(frame, deliver);
             }
             FaultModel::LossyReorder { loss, prob } => {
                 if self.rng.gen::<f64>() < loss {
                     self.stats.dropped += 1;
                 } else {
-                    self.reorder_send(frame, prob);
+                    self.reorder(frame, prob, held, deliver);
                 }
             }
         }
     }
 
-    /// Pair `frame` with the previously held one and emit the pair in
-    /// random order (adjacent reordering).
-    fn reorder_send(&mut self, frame: Vec<u8>, prob: f64) {
-        if let Some(held) = self.pending.take() {
-            // Decide order of (held, frame).
-            if self.rng.gen::<f64>() < prob {
-                self.stats.reordered += 1;
-                self.deliver(frame);
-                self.deliver(held);
-            } else {
-                self.deliver(held);
-                self.deliver(frame);
+    /// Pair `frame` with the held one and emit the pair in random order
+    /// (adjacent reordering), or hold `frame` if nothing is held.
+    fn reorder<F>(
+        &mut self,
+        frame: F,
+        prob: f64,
+        held: &mut Option<F>,
+        deliver: &mut impl FnMut(F),
+    ) {
+        match held.take() {
+            Some(first) => {
+                if self.rng.gen::<f64>() < prob {
+                    self.stats.reordered += 1;
+                    self.deliver(frame, deliver);
+                    self.deliver(first, deliver);
+                } else {
+                    self.deliver(first, deliver);
+                    self.deliver(frame, deliver);
+                }
             }
-        } else {
-            self.pending = Some(frame);
+            None => *held = Some(frame),
         }
     }
 
-    /// Flush any frame held back by the reorder model.
-    pub fn flush(&mut self) {
-        if let Some(held) = self.pending.take() {
-            self.deliver(held);
-        }
-    }
-
-    fn deliver(&mut self, frame: Vec<u8>) {
+    fn deliver<F>(&mut self, frame: F, deliver: &mut impl FnMut(F)) {
         self.stats.delivered += 1;
-        // Receiver may be gone in teardown; frames on a dead link vanish,
-        // just like on a real wire.
-        let _ = self.tx.send(frame);
+        deliver(frame);
+    }
+}
+
+/// The transmitting end of a link.
+pub struct LinkTx {
+    tx: Sender<Vec<u8>>,
+    faults: Faults,
+    /// The frame a reorder model holds back between calls.
+    held: Option<Vec<u8>>,
+    /// Scratch for [`LinkTx::transmit`]: the offered batch's ranges.
+    offered: Vec<FrameRange>,
+}
+
+/// The receiving end of a link.
+pub struct LinkRx {
+    rx: Receiver<Vec<u8>>,
+}
+
+/// Create a link with the given fault model and RNG seed.
+pub fn link(model: FaultModel, seed: u64) -> (LinkTx, LinkRx) {
+    let (tx, rx) = unbounded();
+    (
+        LinkTx {
+            tx,
+            faults: Faults {
+                model,
+                rng: StdRng::seed_from_u64(seed),
+                count: 0,
+                stats: LinkStats::default(),
+                ge_bad: false,
+            },
+            held: None,
+            offered: Vec::new(),
+        },
+        LinkRx { rx },
+    )
+}
+
+impl LinkTx {
+    /// Offer every frame of `frames` to the link, in order. On return
+    /// `frames` lists exactly the frames the link delivered, in wire
+    /// order: the fault model rewrites the range list and the bytes stay
+    /// where they are. A frame a reorder model holds back leaves the
+    /// arena until a later batch or [`LinkTx::flush_into`] releases it.
+    pub fn transmit(&mut self, frames: &mut FrameArena) {
+        let mut offered = std::mem::take(&mut self.offered);
+        offered.clear();
+        std::mem::swap(&mut offered, &mut frames.frames);
+        // A frame held back from an earlier call re-enters as bytes.
+        let mut held = self.held.take().map(|bytes| frames.append_bytes(&bytes));
+        let delivered = &mut frames.frames;
+        for &range in &offered {
+            self.faults
+                .offer(range, &mut held, &mut |r| delivered.push(r));
+        }
+        if let Some(range) = held {
+            self.held = Some(frames.bytes_of(range).to_vec());
+        }
+        self.offered = offered;
+    }
+
+    /// Append any frame held back by the reorder model to `frames`.
+    pub fn flush_into(&mut self, frames: &mut FrameArena) {
+        if let Some(frame) = self.held.take() {
+            self.faults
+                .deliver(frame, &mut |f: Vec<u8>| frames.push(&f));
+        }
+    }
+
+    /// Offer one owned frame to the link; delivered frames go to the
+    /// channel [`LinkRx`] reads.
+    pub fn send(&mut self, frame: Vec<u8>) {
+        let tx = &self.tx;
+        // The receiver may be gone in teardown; frames on a dead link
+        // vanish, just like on a real wire.
+        self.faults.offer(frame, &mut self.held, &mut |f| {
+            let _ = tx.send(f);
+        });
+    }
+
+    /// Flush any frame held back by the reorder model to the channel.
+    pub fn flush(&mut self) {
+        if let Some(frame) = self.held.take() {
+            let tx = &self.tx;
+            self.faults.deliver(frame, &mut |f| {
+                let _ = tx.send(f);
+            });
+        }
     }
 
     /// Delivery statistics so far.
     pub fn stats(&self) -> LinkStats {
-        self.stats
+        self.faults.stats
     }
 }
 

@@ -18,10 +18,11 @@
 //! escalated — a NIC has nobody to complain to, and DART's probabilistic
 //! store is explicitly designed to tolerate missing writes (§3).
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
 use dta_wire::{ethernet, ipv4, roce, udp};
 
+use crate::id_table::IdTable;
 use crate::mr::{AccessError, AccessKind, CommitKind, MemoryRegion};
 use crate::qp::{PsnVerdict, QueuePair, Transport};
 
@@ -323,8 +324,10 @@ impl NicCounters {
 pub struct RNic {
     mac: ethernet::Address,
     ip: ipv4::Address,
-    mrs: HashMap<u32, MemoryRegion>,
-    qps: HashMap<u32, QueuePair>,
+    /// Memory regions by rkey, queue pairs by QPN: both direct-indexed,
+    /// since the verbs layer allocates rkeys and QPNs sequentially.
+    mrs: IdTable<MemoryRegion>,
+    qps: IdTable<QueuePair>,
     inbox: VecDeque<Vec<u8>>,
     counters: NicCounters,
     /// When false, skip iCRC validation (some deployments offload it).
@@ -337,8 +340,8 @@ impl RNic {
         RNic {
             mac,
             ip,
-            mrs: HashMap::new(),
-            qps: HashMap::new(),
+            mrs: IdTable::new(),
+            qps: IdTable::new(),
             inbox: VecDeque::new(),
             counters: NicCounters::default(),
             validate_icrc: true,
@@ -362,7 +365,7 @@ impl RNic {
 
     /// Register a memory region; its rkey must be unique on this NIC.
     pub fn register_mr(&mut self, mr: MemoryRegion) -> Result<(), NicError> {
-        if self.mrs.contains_key(&mr.rkey()) {
+        if self.mrs.contains(mr.rkey()) {
             return Err(NicError::DuplicateRkey(mr.rkey()));
         }
         self.mrs.insert(mr.rkey(), mr);
@@ -371,7 +374,7 @@ impl RNic {
 
     /// Look up a registered region.
     pub fn mr(&self, rkey: u32) -> Option<&MemoryRegion> {
-        self.mrs.get(&rkey)
+        self.mrs.get(rkey)
     }
 
     /// Host-side zeroing of `[va, va+len)` inside a registered region —
@@ -380,13 +383,13 @@ impl RNic {
     /// writing its own memory (an ordinary cache-coherent store), so no
     /// remote-access permissions are consulted; only bounds are.
     pub fn host_zero(&self, rkey: u32, va: u64, len: usize) -> Result<(), NicError> {
-        let mr = self.mrs.get(&rkey).ok_or(NicError::UnknownRkey(rkey))?;
+        let mr = self.mrs.get(rkey).ok_or(NicError::UnknownRkey(rkey))?;
         mr.zero_range(va, len).map_err(|_| NicError::OutOfRegion)
     }
 
     /// Create a queue pair.
     pub fn create_qp(&mut self, qp: QueuePair) -> Result<(), NicError> {
-        if self.qps.contains_key(&qp.qpn()) {
+        if self.qps.contains(qp.qpn()) {
             return Err(NicError::DuplicateQpn(qp.qpn()));
         }
         self.qps.insert(qp.qpn(), qp);
@@ -395,7 +398,7 @@ impl RNic {
 
     /// Mutable access to a QP (for `modify_qp`-style transitions).
     pub fn qp_mut(&mut self, qpn: u32) -> Result<&mut QueuePair, NicError> {
-        self.qps.get_mut(&qpn).ok_or(NicError::UnknownQpn(qpn))
+        self.qps.get_mut(qpn).ok_or(NicError::UnknownQpn(qpn))
     }
 
     /// Re-handshake every queue pair (see [`QueuePair::resync`]): each
@@ -408,7 +411,7 @@ impl RNic {
 
     /// Immutable access to a QP.
     pub fn qp(&self, qpn: u32) -> Option<&QueuePair> {
-        self.qps.get(&qpn)
+        self.qps.get(qpn)
     }
 
     /// Pop the oldest control-plane SEND payload, if any.
@@ -501,7 +504,7 @@ impl RNic {
 
         // Queue pair + PSN.
         let bth = *packet.bth();
-        let qp = match self.qps.get_mut(&bth.dest_qp) {
+        let qp = match self.qps.get_mut(bth.dest_qp) {
             Some(qp) => qp,
             None => {
                 self.counters.qp_not_found += 1;
@@ -572,7 +575,7 @@ impl RNic {
     fn execute(&mut self, packet: &roce::RoceView<'_>) -> (RxAction, Option<roce::Syndrome>) {
         match packet {
             roce::RoceView::Write { reth, payload, .. } => {
-                let mr = match self.mrs.get(&reth.rkey) {
+                let mr = match self.mrs.get(reth.rkey) {
                     Some(mr) => mr,
                     None => {
                         self.counters.bad_rkey += 1;
@@ -661,7 +664,7 @@ impl RNic {
         is_fetch_add: bool,
         op: impl FnOnce(&MemoryRegion, &roce::AtomicEthRepr) -> Result<u64, AccessError>,
     ) -> (RxAction, Option<roce::Syndrome>) {
-        let mr = match self.mrs.get(&atomic.rkey) {
+        let mr = match self.mrs.get(atomic.rkey) {
             Some(mr) => mr,
             None => {
                 self.counters.bad_rkey += 1;

@@ -3,13 +3,91 @@
 
 use proptest::prelude::*;
 
+use dta_rdma::link::{link, FaultModel, FrameArena};
 use dta_rdma::mr::{AccessFlags, AccessKind, MemoryRegion};
 use dta_rdma::nic::{RNic, RxAction};
 use dta_rdma::qp::{QueuePair, Transport};
 use dta_wire::roce::Psn;
 use dta_wire::{ethernet, ipv4};
 
+/// Every fault model, with its probabilities drawn from `p` and `q`.
+fn fault_models(p: f64, q: f64, n: u64) -> [FaultModel; 7] {
+    [
+        FaultModel::Perfect,
+        FaultModel::Bernoulli { loss: p },
+        FaultModel::DropNth { n },
+        FaultModel::Reorder { prob: p },
+        FaultModel::GilbertElliott {
+            to_bad: p,
+            to_good: q,
+            loss_good: q * p,
+            loss_bad: q,
+        },
+        FaultModel::Duplicate { prob: p },
+        FaultModel::LossyReorder {
+            loss: q * p,
+            prob: p,
+        },
+    ]
+}
+
 proptest! {
+    /// The arena path (batches through `transmit`/`flush_into`) and the
+    /// owned-frame path (`send`/`try_recv`) are one fault
+    /// implementation: same frames, same order, same stats, for every
+    /// model, whatever the batching and flush points.
+    #[test]
+    fn arena_and_channel_paths_deliver_identically(
+        seed in any::<u64>(),
+        p in 0.0f64..1.0,
+        q in 0.0f64..1.0,
+        n in 0u64..6,
+        lens in proptest::collection::vec(1usize..120, 1..60),
+        batches in proptest::collection::vec(1usize..8, 1..60),
+        flushes in proptest::collection::vec(any::<bool>(), 1..60),
+    ) {
+        let frames: Vec<Vec<u8>> = lens
+            .iter()
+            .enumerate()
+            .map(|(i, &len)| (0..len).map(|j| (i * 31 + j) as u8).collect())
+            .collect();
+        for model in fault_models(p, q, n) {
+            let (mut tx, rx) = link(model, seed);
+            let (mut arena_tx, _arena_rx) = link(model, seed);
+            let mut arena = FrameArena::new();
+            let mut via_channel = Vec::new();
+            let mut via_arena = Vec::new();
+            let mut next = 0;
+            for (b, &size) in batches.iter().cycle().enumerate() {
+                if next == frames.len() {
+                    break;
+                }
+                let batch = &frames[next..(next + size).min(frames.len())];
+                next += batch.len();
+                let flush = flushes[b % flushes.len()];
+                for frame in batch {
+                    tx.send(frame.clone());
+                    arena.push(frame);
+                }
+                arena_tx.transmit(&mut arena);
+                if flush {
+                    tx.flush();
+                    arena_tx.flush_into(&mut arena);
+                }
+                via_channel.extend(rx.drain());
+                via_arena.extend(arena.iter().map(<[u8]>::to_vec));
+                arena.clear();
+            }
+            tx.flush();
+            arena_tx.flush_into(&mut arena);
+            via_channel.extend(rx.drain());
+            via_arena.extend(arena.iter().map(<[u8]>::to_vec));
+            prop_assert_eq!(&via_arena, &via_channel, "{:?}", model);
+            prop_assert_eq!(arena_tx.stats(), tx.stats(), "{:?}", model);
+            prop_assert_eq!(tx.stats().delivered, via_channel.len() as u64);
+        }
+    }
+
     /// check_access answering Ok ⇔ write succeeding, for arbitrary
     /// (va, len) against an arbitrary region.
     #[test]

@@ -2,7 +2,7 @@
 //!
 //! Every RoCEv2 stream a switch originates — Key-Write report WRITEs,
 //! Append ring WRITEs, Key-Increment and sketch FETCH_ADDs, native
-//! multi-write SENDs — leaves through this one function, which emits
+//! multi-write SENDs — leaves through [`deparse_into`], which emits
 //! Ethernet ‖ IPv4 ‖ UDP(4791) ‖ transport packet ‖ iCRC exactly the way
 //! the egress deparser stage of the P4 program does. It must stay
 //! byte-identical to the NIC-side reference builder
@@ -21,31 +21,43 @@ pub fn deparse_roce_frame(
     src_port: u16,
     packet: &RoceRepr,
 ) -> Vec<u8> {
-    deparse_frame_with(
+    let mut frame = vec![0u8; frame_len(packet.buffer_len())];
+    deparse_into(
+        &mut frame,
         src_mac,
         dst_mac,
         src_ip,
         dst_ip,
         src_port,
-        packet.buffer_len(),
         |transport| packet.emit(transport),
-    )
+    );
+    frame
 }
 
-/// Emit the header stack and iCRC around a `transport_len`-byte
-/// transport packet that `emit_transport` writes in place (into a zeroed
-/// buffer), so a report's payload is encoded straight into the frame the
-/// link takes ownership of — the frame is the one allocation.
-pub fn deparse_frame_with(
+/// Bytes of a complete frame around a `transport_len`-byte transport
+/// packet: Ethernet ‖ IPv4 ‖ UDP ‖ transport ‖ iCRC.
+pub const fn frame_len(transport_len: usize) -> usize {
+    ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN + transport_len + roce::ICRC_LEN
+}
+
+/// Emit the header stack and iCRC into `frame`, a zeroed buffer of
+/// [`frame_len`]`(transport_len)` bytes, around the transport packet
+/// `emit_transport` writes in place — so a report is encoded straight
+/// into whatever buffer carries it (a frame arena on the hot path).
+pub fn deparse_into(
+    frame: &mut [u8],
     src_mac: ethernet::Address,
     dst_mac: ethernet::Address,
     src_ip: ipv4::Address,
     dst_ip: ipv4::Address,
     src_port: u16,
-    transport_len: usize,
     emit_transport: impl FnOnce(&mut [u8]),
-) -> Vec<u8> {
-    let udp_payload_len = transport_len + roce::ICRC_LEN;
+) {
+    let ip_start = ethernet::HEADER_LEN;
+    let udp_start = ip_start + ipv4::HEADER_LEN;
+    let roce_start = udp_start + udp::HEADER_LEN;
+    let udp_payload_len = frame.len() - roce_start;
+    let transport_len = udp_payload_len - roce::ICRC_LEN;
 
     let eth_repr = ethernet::Repr {
         src_addr: src_mac,
@@ -66,8 +78,6 @@ pub fn deparse_frame_with(
         payload_len: udp_payload_len,
     };
 
-    let total = ethernet::HEADER_LEN + ipv4::HEADER_LEN + udp::HEADER_LEN + udp_payload_len;
-    let mut frame = vec![0u8; total];
     let mut eth = ethernet::Frame::new_unchecked(&mut frame[..]);
     eth_repr.emit(&mut eth);
     let mut ip = ipv4::Packet::new_unchecked(eth.payload_mut());
@@ -75,9 +85,6 @@ pub fn deparse_frame_with(
     let mut dgram = udp::Datagram::new_unchecked(ip.payload_mut());
     udp_repr.emit(&mut dgram);
 
-    let ip_start = ethernet::HEADER_LEN;
-    let udp_start = ip_start + ipv4::HEADER_LEN;
-    let roce_start = udp_start + udp::HEADER_LEN;
     emit_transport(&mut frame[roce_start..roce_start + transport_len]);
 
     // iCRC via the CRC-32 extern.
@@ -88,7 +95,6 @@ pub fn deparse_frame_with(
         &tail[..transport_len],
     );
     tail[transport_len..transport_len + roce::ICRC_LEN].copy_from_slice(&crc.to_le_bytes());
-    frame
 }
 
 #[cfg(test)]

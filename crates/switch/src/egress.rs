@@ -23,6 +23,7 @@ use dta_core::hash::{
 };
 use dta_core::primitive::{append_encode_entry, increment_decode, PrimitiveSpec};
 use dta_obs::{Counter, EventKind, Obs};
+use dta_rdma::link::FrameArena;
 use dta_rdma::verbs::RemoteEndpoint;
 use dta_wire::dart::SlotLayout;
 use dta_wire::roce::{self, AtomicEthRepr, BthRepr, Opcode, Psn, RethRepr};
@@ -133,6 +134,24 @@ impl EgressConfig {
     }
 }
 
+/// Which of a report's copies one crafting call emits.
+#[derive(Debug, Clone, Copy)]
+enum Copies {
+    /// Every frame the primitive requires.
+    All,
+    /// One Key-Write copy.
+    One(u8),
+}
+
+/// Where one crafted frame went.
+#[derive(Debug, Clone, Copy)]
+struct CraftedMeta {
+    collector_id: u32,
+    copy: u8,
+    slot: u64,
+    psn: Psn,
+}
+
 /// One crafted DART report, ready for the wire.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct CraftedReport {
@@ -146,6 +165,14 @@ pub struct CraftedReport {
     pub psn: Psn,
     /// The complete Ethernet frame.
     pub frame: Vec<u8>,
+}
+
+/// The longest frame one report copy under `config` takes: a WRITE of
+/// one padded entry, or a FETCH_ADD.
+fn max_frame_len(config: &EgressConfig) -> usize {
+    let entry_len = config.entry_len();
+    let write = roce::write_len(entry_len, ((4 - entry_len % 4) % 4) as u8);
+    crate::deparse::frame_len(write.max(roce::BTH_LEN + roce::ATOMIC_ETH_LEN))
 }
 
 /// Per-switch egress counters.
@@ -182,7 +209,7 @@ pub struct DartEgress {
     config: EgressConfig,
     mapping: CrcMapping,
     rng: RandomExtern,
-    collector_table: MatchActionTable<u32, RemoteEndpoint>,
+    collector_table: MatchActionTable<RemoteEndpoint>,
     psn_registers: RegisterArray<u32>,
     /// Append tail-pointer registers, one per (collector, ring), laid
     /// out `collector * rings + ring`. Each holds the *last stored*
@@ -202,6 +229,9 @@ pub struct DartEgress {
     failover_logged: HashSet<Vec<u8>>,
     counters: EgressCounters,
     obs: Option<EgressObs>,
+    /// Where the owned-report wrappers craft before copying frames out.
+    scratch: FrameArena,
+    scratch_meta: Vec<CraftedMeta>,
 }
 
 impl DartEgress {
@@ -245,6 +275,12 @@ impl DartEgress {
             failover_logged: HashSet::new(),
             counters: EgressCounters::default(),
             obs: None,
+            // Sized for one report, so the wrappers never grow it.
+            scratch: FrameArena::with_capacity(
+                usize::from(config.copies),
+                usize::from(config.copies) * max_frame_len(&config),
+            ),
+            scratch_meta: Vec::with_capacity(usize::from(config.copies)),
         })
     }
 
@@ -463,103 +499,89 @@ impl DartEgress {
     }
 
     /// Craft every frame one report requires under the configured
-    /// primitive — the unified entry point the pipeline dispatches
-    /// through:
+    /// primitive, returning each as an owned [`CraftedReport`]:
     ///
     /// * Key-Write: `N` RDMA WRITEs, one per redundant copy;
     /// * Append: one WRITE landing the entry at the ring tail;
     /// * Key-Increment: `N` RC FETCH_ADDs, one per counter copy.
+    ///
+    /// A wrapper over [`DartEgress::craft_into`], which the report hot
+    /// path calls to craft into a reusable arena instead.
     pub fn craft(&mut self, key: &[u8], value: &[u8]) -> Result<Vec<CraftedReport>, SwitchError> {
-        match self.config.primitive {
-            PrimitiveSpec::KeyWrite => (0..self.config.copies)
-                .map(|copy| self.craft_report_copy(key, value, copy))
-                .collect(),
-            PrimitiveSpec::Append { .. } => Ok(vec![self.craft_append(key, value)?]),
-            PrimitiveSpec::KeyIncrement => (0..self.config.copies)
-                .map(|copy| self.craft_increment_copy(key, value, copy))
-                .collect(),
-        }
+        let mut reports = Vec::with_capacity(usize::from(self.config.copies));
+        self.craft_owned(key, value, Copies::All, |r| reports.push(r))?;
+        Ok(reports)
     }
 
-    /// Craft one report with an RNG-chosen copy index.
+    /// Craft every frame one report requires under the configured
+    /// primitive (see [`DartEgress::craft`]) straight into `frames`. On
+    /// error nothing is appended, though registers already advanced for
+    /// earlier copies stay advanced, as on the hardware.
+    pub fn craft_into(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+        frames: &mut FrameArena,
+    ) -> Result<(), SwitchError> {
+        self.craft_frames(key, value, Copies::All, frames, |_| {})
+    }
+
+    /// Craft one Key-Write report with an RNG-chosen copy index.
     pub fn craft_report(&mut self, key: &[u8], value: &[u8]) -> Result<CraftedReport, SwitchError> {
         let copy = self.rng.next_below(self.config.copies);
         self.craft_report_copy(key, value, copy)
     }
 
-    /// Craft one report for an explicit copy index (deterministic tests;
-    /// also used to flush all `N` copies at once).
+    /// [`DartEgress::craft_report`] into `frames`.
+    pub fn craft_report_into(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+        frames: &mut FrameArena,
+    ) -> Result<(), SwitchError> {
+        let copy = self.rng.next_below(self.config.copies);
+        self.craft_report_copy_into(key, value, copy, frames)
+    }
+
+    /// Craft one Key-Write report for an explicit copy index
+    /// (deterministic tests; also used to flush all `N` copies at once).
     pub fn craft_report_copy(
         &mut self,
         key: &[u8],
         value: &[u8],
         copy: u8,
     ) -> Result<CraftedReport, SwitchError> {
-        if self.config.primitive != PrimitiveSpec::KeyWrite {
+        self.require_key_write()?;
+        self.craft_one_owned(key, value, Copies::One(copy))
+    }
+
+    /// [`DartEgress::craft_report_copy`] into `frames`.
+    pub fn craft_report_copy_into(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+        copy: u8,
+        frames: &mut FrameArena,
+    ) -> Result<(), SwitchError> {
+        self.require_key_write()?;
+        self.craft_frames(key, value, Copies::One(copy), frames, |_| {})
+    }
+
+    /// Craft the single WRITE that lands one append entry at its ring's
+    /// tail. The listkey names the ring (`slot(listkey, 0, rings)`); the
+    /// tail register names the position; the entry carries its own
+    /// sequence number so readers stay stateless across wraparound.
+    pub fn craft_append(
+        &mut self,
+        listkey: &[u8],
+        value: &[u8],
+    ) -> Result<CraftedReport, SwitchError> {
+        if !matches!(self.config.primitive, PrimitiveSpec::Append { .. }) {
             return Err(SwitchError::InvalidPrimitive(
-                "craft_report is the Key-Write path; use craft()",
+                "craft_append requires the Append primitive",
             ));
         }
-        if key.len() > MAX_KEY_LEN {
-            return Err(SwitchError::KeyTooLong(key.len()));
-        }
-        if value.len() != self.config.layout.value_len {
-            return Err(SwitchError::ValueLength {
-                expected: self.config.layout.value_len,
-                actual: value.len(),
-            });
-        }
-
-        // CRC externs (collector, slot, checksum) + liveness failover.
-        let collector_id = self.resolve_collector(key)?;
-        let slot = self.mapping.slot(key, copy, self.config.slots);
-        let key_checksum = self.mapping.key_checksum(key);
-
-        // Collector lookup table.
-        let endpoint = match self.collector_table.lookup(&collector_id) {
-            Some(ep) => *ep,
-            None => {
-                self.counters.unknown_collector += 1;
-                if let Some(o) = &self.obs {
-                    o.unknown_collector.inc();
-                }
-                return Err(SwitchError::UnknownCollector(collector_id));
-            }
-        };
-
-        // PSN register: post-increment, 24-bit wrap.
-        let raw = self
-            .psn_registers
-            .read_modify_write(collector_id as usize, |v| (v + 1) & (Psn::MODULUS - 1))
-            .expect("register array sized to collectors");
-        let psn = Psn::new(raw);
-
-        // Slot payload: checksum ‖ value, encoded into the frame.
-        let layout = self.config.layout;
-        let slot_len = layout.slot_len();
-        let va = endpoint.base_va + slot * slot_len as u64;
-        let frame = self.deparse_write(&endpoint, psn, va, slot_len, |payload| {
-            layout
-                .encode(key_checksum, value, payload)
-                .expect("lengths validated above");
-        });
-        self.counters.reports += 1;
-        if let Some(o) = &self.obs {
-            o.reports.inc();
-            o.obs.event(EventKind::ReportCrafted {
-                switch: self.identity.switch_id,
-                collector: collector_id as u8,
-                copy,
-                psn: psn.value(),
-            });
-        }
-        Ok(CraftedReport {
-            collector_id,
-            copy,
-            slot,
-            psn,
-            frame,
-        })
+        self.craft_one_owned(listkey, value, Copies::All)
     }
 
     /// Craft a single *native multi-write* report carrying all `N` slot
@@ -576,31 +598,10 @@ impl DartEgress {
                 "multiwrite is a Key-Write (§7) extension",
             ));
         }
-        if key.len() > MAX_KEY_LEN {
-            return Err(SwitchError::KeyTooLong(key.len()));
-        }
-        if value.len() != self.config.layout.value_len {
-            return Err(SwitchError::ValueLength {
-                expected: self.config.layout.value_len,
-                actual: value.len(),
-            });
-        }
+        self.validate(key, value)?;
         let collector_id = self.resolve_collector(key)?;
-        let endpoint = match self.collector_table.lookup(&collector_id) {
-            Some(ep) => *ep,
-            None => {
-                self.counters.unknown_collector += 1;
-                if let Some(o) = &self.obs {
-                    o.unknown_collector.inc();
-                }
-                return Err(SwitchError::UnknownCollector(collector_id));
-            }
-        };
-        let raw = self
-            .psn_registers
-            .read_modify_write(collector_id as usize, |v| (v + 1) & (Psn::MODULUS - 1))
-            .expect("register array sized to collectors");
-        let psn = Psn::new(raw);
+        let endpoint = self.endpoint(collector_id)?;
+        let psn = self.next_psn(collector_id);
 
         let slot_len = self.config.layout.slot_len();
         let mut payload = vec![0u8; slot_len];
@@ -636,17 +637,15 @@ impl DartEgress {
             },
             payload: body,
         };
-        let frame = self.deparse_packet(&endpoint, &packet);
-        self.counters.reports += 1;
-        if let Some(o) = &self.obs {
-            o.reports.inc();
-            o.obs.event(EventKind::ReportCrafted {
-                switch: self.identity.switch_id,
-                collector: collector_id as u8,
-                copy: 0,
-                psn: psn.value(),
-            });
-        }
+        let frame = crate::deparse::deparse_roce_frame(
+            self.identity.mac,
+            endpoint.mac,
+            self.identity.ip,
+            endpoint.ip,
+            self.config.udp_src_port,
+            &packet,
+        );
+        self.record_crafted(collector_id, 0, psn);
         Ok(CraftedReport {
             collector_id,
             copy: 0,
@@ -656,25 +655,30 @@ impl DartEgress {
         })
     }
 
-    /// Craft the single WRITE that lands one append entry at its ring's
-    /// tail. The listkey names the ring (`slot(listkey, 0, rings)`); the
-    /// tail register names the position; the entry carries its own
-    /// sequence number so readers stay stateless across wraparound.
-    pub fn craft_append(
-        &mut self,
-        listkey: &[u8],
-        value: &[u8],
-    ) -> Result<CraftedReport, SwitchError> {
-        let ring_capacity = match self.config.primitive {
-            PrimitiveSpec::Append { ring_capacity } => ring_capacity,
-            _ => {
-                return Err(SwitchError::InvalidPrimitive(
-                    "craft_append requires the Append primitive",
-                ))
-            }
-        };
-        if listkey.len() > MAX_KEY_LEN {
-            return Err(SwitchError::KeyTooLong(listkey.len()));
+    /// Err unless the configured primitive is Key-Write (the
+    /// per-copy report paths).
+    pub(crate) fn require_key_write(&self) -> Result<(), SwitchError> {
+        if self.config.primitive == PrimitiveSpec::KeyWrite {
+            Ok(())
+        } else {
+            Err(SwitchError::InvalidPrimitive(
+                "craft_report is the Key-Write path; use craft()",
+            ))
+        }
+    }
+
+    /// The parser-depth and slot-layout checks every report passes
+    /// before any register moves. Returns the Key-Increment delta (the
+    /// 8-byte big-endian value; 0 for the WRITE-based primitives).
+    fn validate(&self, key: &[u8], value: &[u8]) -> Result<u64, SwitchError> {
+        if key.len() > MAX_KEY_LEN {
+            return Err(SwitchError::KeyTooLong(key.len()));
+        }
+        if self.config.primitive == PrimitiveSpec::KeyIncrement {
+            return increment_decode(value).map_err(|_| SwitchError::ValueLength {
+                expected: 8,
+                actual: value.len(),
+            });
         }
         if value.len() != self.config.layout.value_len {
             return Err(SwitchError::ValueLength {
@@ -682,129 +686,235 @@ impl DartEgress {
                 actual: value.len(),
             });
         }
-
-        let collector_id = self.resolve_collector(listkey)?;
-        let rings = self.config.rings();
-        let ring = self.mapping.slot(listkey, 0, rings);
-        let key_checksum = self.mapping.key_checksum(listkey);
-        let endpoint = match self.collector_table.lookup(&collector_id) {
-            Some(ep) => *ep,
-            None => {
-                self.counters.unknown_collector += 1;
-                if let Some(o) = &self.obs {
-                    o.unknown_collector.inc();
-                }
-                return Err(SwitchError::UnknownCollector(collector_id));
-            }
-        };
-
-        // Tail register: post-increment over the full u32 range. The
-        // stateful ALU returns the OLD value, so re-apply the transform
-        // for the sequence number this entry stores.
-        let old = self
-            .tail_registers
-            .read_modify_write(
-                collector_id as usize * rings as usize + ring as usize,
-                |v| v.wrapping_add(1),
-            )
-            .expect("tail registers sized to collectors × rings");
-        let stored = old.wrapping_add(1);
-        let position = u64::from(stored.wrapping_sub(1)) % ring_capacity;
-
-        let raw = self
-            .psn_registers
-            .read_modify_write(collector_id as usize, |v| (v + 1) & (Psn::MODULUS - 1))
-            .expect("register array sized to collectors");
-        let psn = Psn::new(raw);
-
-        let layout = self.config.layout;
-        let entry_len = self.config.entry_len();
-        let slot = ring * ring_capacity + position;
-        let va = endpoint.base_va + slot * entry_len as u64;
-        let frame = self.deparse_write(&endpoint, psn, va, entry_len, |payload| {
-            append_encode_entry(&layout, stored, key_checksum, value, payload)
-                .expect("lengths validated above");
-        });
-        self.counters.reports += 1;
-        if let Some(o) = &self.obs {
-            o.reports.inc();
-            o.obs.event(EventKind::ReportCrafted {
-                switch: self.identity.switch_id,
-                collector: collector_id as u8,
-                copy: 0,
-                psn: psn.value(),
-            });
-        }
-        Ok(CraftedReport {
-            collector_id,
-            copy: 0,
-            slot,
-            psn,
-            frame,
-        })
+        Ok(0)
     }
 
-    /// Craft the RC FETCH_ADD that adds this report's delta (the 8-byte
-    /// big-endian value) into copy `copy`'s counter word. Atomics are
-    /// RC-only in the RDMA spec, so the frame requests an ACK; the
-    /// pipeline fire-and-forgets it §6-style.
-    pub fn craft_increment_copy(
+    /// The one crafting implementation, shared by all three primitives:
+    /// validate the report once, then craft each selected copy's frame
+    /// straight into `frames`, handing `each` its metadata. On error the
+    /// frames this call appended are taken back out.
+    fn craft_frames(
         &mut self,
         key: &[u8],
         value: &[u8],
-        copy: u8,
-    ) -> Result<CraftedReport, SwitchError> {
-        if self.config.primitive != PrimitiveSpec::KeyIncrement {
-            return Err(SwitchError::InvalidPrimitive(
-                "craft_increment requires the Key-Increment primitive",
-            ));
+        copies: Copies,
+        frames: &mut FrameArena,
+        mut each: impl FnMut(CraftedMeta),
+    ) -> Result<(), SwitchError> {
+        let delta = self.validate(key, value)?;
+        let (first, count) = match (copies, self.config.primitive) {
+            (Copies::One(copy), _) => (copy, 1),
+            (Copies::All, PrimitiveSpec::Append { .. }) => (0, 1),
+            (Copies::All, _) => (0, self.config.copies),
+        };
+        let start = frames.len();
+        for copy in first..first + count {
+            match self.craft_frame(key, value, delta, copy, frames) {
+                Ok(meta) => each(meta),
+                Err(e) => {
+                    frames.truncate(start);
+                    return Err(e);
+                }
+            }
         }
-        if key.len() > MAX_KEY_LEN {
-            return Err(SwitchError::KeyTooLong(key.len()));
-        }
-        let delta = increment_decode(value).map_err(|_| SwitchError::ValueLength {
-            expected: 8,
-            actual: value.len(),
-        })?;
+        Ok(())
+    }
 
+    /// [`DartEgress::craft_frames`] into the scratch arena, handing
+    /// `out` each frame copied out as an owned [`CraftedReport`] (the
+    /// wrappers' path).
+    fn craft_owned(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+        copies: Copies,
+        mut out: impl FnMut(CraftedReport),
+    ) -> Result<(), SwitchError> {
+        let mut scratch = std::mem::take(&mut self.scratch);
+        let mut metas = std::mem::take(&mut self.scratch_meta);
+        scratch.clear();
+        metas.clear();
+        let result = self.craft_frames(key, value, copies, &mut scratch, |meta| metas.push(meta));
+        if result.is_ok() {
+            for (meta, frame) in metas.iter().zip(scratch.iter()) {
+                out(CraftedReport {
+                    collector_id: meta.collector_id,
+                    copy: meta.copy,
+                    slot: meta.slot,
+                    psn: meta.psn,
+                    frame: frame.to_vec(),
+                });
+            }
+        }
+        self.scratch = scratch;
+        self.scratch_meta = metas;
+        result
+    }
+
+    /// [`DartEgress::craft_owned`] for a call that crafts one frame.
+    fn craft_one_owned(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+        copies: Copies,
+    ) -> Result<CraftedReport, SwitchError> {
+        let mut report = None;
+        self.craft_owned(key, value, copies, |r| report = Some(r))?;
+        Ok(report.expect("one frame crafted"))
+    }
+
+    /// Craft one frame: resolve the collector (liveness failover), look
+    /// up its endpoint, advance the append tail and PSN registers, and
+    /// deparse the WRITE or FETCH_ADD into `frames`.
+    fn craft_frame(
+        &mut self,
+        key: &[u8],
+        value: &[u8],
+        delta: u64,
+        copy: u8,
+        frames: &mut FrameArena,
+    ) -> Result<CraftedMeta, SwitchError> {
         let collector_id = self.resolve_collector(key)?;
-        let slot = self.mapping.slot(key, copy, self.config.slots);
-        let endpoint = match self.collector_table.lookup(&collector_id) {
-            Some(ep) => *ep,
+        let endpoint = self.endpoint(collector_id)?;
+        let (slot, copy, append_seq) = match self.config.primitive {
+            PrimitiveSpec::Append { ring_capacity } => {
+                let rings = self.config.rings();
+                let ring = self.mapping.slot(key, 0, rings);
+                // Tail register: post-increment over the full u32 range.
+                // The stateful ALU returns the OLD value, so re-apply the
+                // transform for the sequence number this entry stores.
+                let old = self
+                    .tail_registers
+                    .read_modify_write(
+                        collector_id as usize * rings as usize + ring as usize,
+                        |v| v.wrapping_add(1),
+                    )
+                    .expect("tail registers sized to collectors × rings");
+                let stored = old.wrapping_add(1);
+                let position = u64::from(stored.wrapping_sub(1)) % ring_capacity;
+                (ring * ring_capacity + position, 0, stored)
+            }
+            _ => (self.mapping.slot(key, copy, self.config.slots), copy, 0),
+        };
+        let psn = self.next_psn(collector_id);
+
+        let entry_len = self.config.entry_len();
+        let va = endpoint.base_va + slot * entry_len as u64;
+        let layout = self.config.layout;
+        match self.config.primitive {
+            PrimitiveSpec::KeyIncrement => {
+                // Atomics are RC-only in the RDMA spec, so the frame
+                // requests an ACK; the pipeline fire-and-forgets it
+                // §6-style.
+                let packet = roce::RoceRepr::FetchAdd {
+                    bth: BthRepr {
+                        opcode: Opcode::RcFetchAdd,
+                        solicited: false,
+                        migration: true,
+                        pad_count: 0,
+                        partition_key: 0xFFFF,
+                        dest_qp: endpoint.qpn,
+                        ack_request: true,
+                        psn: psn.value(),
+                    },
+                    atomic: AtomicEthRepr {
+                        virtual_addr: va,
+                        rkey: endpoint.rkey,
+                        swap_or_add: delta,
+                        compare: 0,
+                    },
+                };
+                self.push_frame(frames, &endpoint, packet.buffer_len(), |t| packet.emit(t));
+            }
+            primitive => {
+                // A WRITE whose `checksum ‖ value` (Append: `seq ‖
+                // checksum ‖ value`) payload is encoded in place.
+                let key_checksum = self.mapping.key_checksum(key);
+                let pad_count = ((4 - entry_len % 4) % 4) as u8;
+                let bth = BthRepr {
+                    opcode: Opcode::UcRdmaWriteOnly,
+                    solicited: false,
+                    migration: true,
+                    pad_count,
+                    partition_key: 0xFFFF,
+                    dest_qp: endpoint.qpn,
+                    ack_request: false,
+                    psn: psn.value(),
+                };
+                let reth = RethRepr {
+                    virtual_addr: va,
+                    rkey: endpoint.rkey,
+                    dma_len: entry_len as u32,
+                };
+                let transport_len = roce::write_len(entry_len, pad_count);
+                self.push_frame(frames, &endpoint, transport_len, |t| {
+                    let payload = roce::emit_write_headers(&bth, &reth, entry_len, t);
+                    let encoded = if primitive == PrimitiveSpec::KeyWrite {
+                        layout.encode(key_checksum, value, payload).is_ok()
+                    } else {
+                        append_encode_entry(&layout, append_seq, key_checksum, value, payload)
+                            .is_ok()
+                    };
+                    assert!(encoded, "lengths validated before crafting");
+                });
+            }
+        }
+        self.record_crafted(collector_id, copy, psn);
+        Ok(CraftedMeta {
+            collector_id,
+            copy,
+            slot,
+            psn,
+        })
+    }
+
+    /// The deparser: append a frame to `endpoint` whose
+    /// `transport_len`-byte transport packet `emit` writes in place.
+    fn push_frame(
+        &self,
+        frames: &mut FrameArena,
+        endpoint: &RemoteEndpoint,
+        transport_len: usize,
+        emit: impl FnOnce(&mut [u8]),
+    ) {
+        frames.push_with(crate::deparse::frame_len(transport_len), |frame| {
+            crate::deparse::deparse_into(
+                frame,
+                self.identity.mac,
+                endpoint.mac,
+                self.identity.ip,
+                endpoint.ip,
+                self.config.udp_src_port,
+                emit,
+            )
+        });
+    }
+
+    /// Collector lookup table: the endpoint for `collector_id`, or a
+    /// counted miss.
+    fn endpoint(&mut self, collector_id: u32) -> Result<RemoteEndpoint, SwitchError> {
+        match self.collector_table.lookup(collector_id) {
+            Some(ep) => Ok(*ep),
             None => {
                 self.counters.unknown_collector += 1;
                 if let Some(o) = &self.obs {
                     o.unknown_collector.inc();
                 }
-                return Err(SwitchError::UnknownCollector(collector_id));
+                Err(SwitchError::UnknownCollector(collector_id))
             }
-        };
+        }
+    }
+
+    /// PSN register: post-increment, 24-bit wrap.
+    fn next_psn(&mut self, collector_id: u32) -> Psn {
         let raw = self
             .psn_registers
             .read_modify_write(collector_id as usize, |v| (v + 1) & (Psn::MODULUS - 1))
             .expect("register array sized to collectors");
-        let psn = Psn::new(raw);
+        Psn::new(raw)
+    }
 
-        let entry_len = self.config.entry_len() as u64;
-        let packet = roce::RoceRepr::FetchAdd {
-            bth: BthRepr {
-                opcode: Opcode::RcFetchAdd,
-                solicited: false,
-                migration: true,
-                pad_count: 0,
-                partition_key: 0xFFFF,
-                dest_qp: endpoint.qpn,
-                ack_request: true,
-                psn: psn.value(),
-            },
-            atomic: AtomicEthRepr {
-                virtual_addr: endpoint.base_va + slot * entry_len,
-                rkey: endpoint.rkey,
-                swap_or_add: delta,
-                compare: 0,
-            },
-        };
-        let frame = self.deparse_packet(&endpoint, &packet);
+    fn record_crafted(&mut self, collector_id: u32, copy: u8, psn: Psn) {
         self.counters.reports += 1;
         if let Some(o) = &self.obs {
             o.reports.inc();
@@ -815,72 +925,6 @@ impl DartEgress {
                 psn: psn.value(),
             });
         }
-        Ok(CraftedReport {
-            collector_id,
-            copy,
-            slot,
-            psn,
-            frame,
-        })
-    }
-
-    /// The deparser for a standard RDMA WRITE report: the BTH, RETH and
-    /// the `payload_len`-byte payload `encode` writes go straight into
-    /// the frame buffer the link takes ownership of.
-    fn deparse_write(
-        &self,
-        endpoint: &RemoteEndpoint,
-        psn: Psn,
-        va: u64,
-        payload_len: usize,
-        encode: impl FnOnce(&mut [u8]),
-    ) -> Vec<u8> {
-        let pad_count = ((4 - payload_len % 4) % 4) as u8;
-        let bth = BthRepr {
-            opcode: Opcode::UcRdmaWriteOnly,
-            solicited: false,
-            migration: true,
-            pad_count,
-            partition_key: 0xFFFF,
-            dest_qp: endpoint.qpn,
-            ack_request: false,
-            psn: psn.value(),
-        };
-        let reth = RethRepr {
-            virtual_addr: va,
-            rkey: endpoint.rkey,
-            dma_len: payload_len as u32,
-        };
-        crate::deparse::deparse_frame_with(
-            self.identity.mac,
-            endpoint.mac,
-            self.identity.ip,
-            endpoint.ip,
-            self.config.udp_src_port,
-            roce::write_len(payload_len, pad_count),
-            |transport| {
-                encode(roce::emit_write_headers(
-                    &bth,
-                    &reth,
-                    payload_len,
-                    transport,
-                ))
-            },
-        )
-    }
-
-    /// The generic deparser: emit the full header stack and iCRC trailer
-    /// for any transport packet (shared with the sketch reporter —
-    /// see [`crate::deparse`]).
-    fn deparse_packet(&self, endpoint: &RemoteEndpoint, packet: &roce::RoceRepr) -> Vec<u8> {
-        crate::deparse::deparse_roce_frame(
-            self.identity.mac,
-            endpoint.mac,
-            self.identity.ip,
-            endpoint.ip,
-            self.config.udp_src_port,
-            packet,
-        )
     }
 }
 
@@ -1247,6 +1291,69 @@ mod tests {
         assert_eq!(e.failover_log_len(), 0);
         e.craft_report_copy(b"fo-key", &[1u8; 20], 0).unwrap();
         assert_eq!(e.failover_log_len(), 1);
+    }
+
+    #[test]
+    fn arena_crafting_matches_owned_reports_for_every_primitive() {
+        for (primitive, value) in [
+            (dta_core::PrimitiveSpec::KeyWrite, vec![5u8; 20]),
+            (
+                dta_core::PrimitiveSpec::Append { ring_capacity: 4 },
+                vec![6u8; 20],
+            ),
+            (
+                dta_core::PrimitiveSpec::KeyIncrement,
+                3u64.to_be_bytes().to_vec(),
+            ),
+        ] {
+            let build = || {
+                let mut cfg = config();
+                cfg.primitive = primitive;
+                match primitive {
+                    dta_core::PrimitiveSpec::Append { .. } => cfg.copies = 1,
+                    dta_core::PrimitiveSpec::KeyIncrement => cfg.layout.value_len = 8,
+                    dta_core::PrimitiveSpec::KeyWrite => {}
+                }
+                let mut e = DartEgress::new(SwitchIdentity::derived(1), cfg, 7).unwrap();
+                let mut ep = endpoint();
+                ep.region_len = 64 * 1024;
+                e.install_collector(0, ep).unwrap();
+                e
+            };
+            let (mut owned, mut arena_egress) = (build(), build());
+            let mut arena = FrameArena::new();
+            for key in [&b"k1"[..], b"k2", b"k1"] {
+                let reports = owned.craft(key, &value).unwrap();
+                let start = arena.len();
+                arena_egress.craft_into(key, &value, &mut arena).unwrap();
+                let crafted: Vec<&[u8]> = arena.iter().skip(start).collect();
+                let expected: Vec<&[u8]> = reports.iter().map(|r| &r.frame[..]).collect();
+                assert_eq!(crafted, expected, "{primitive:?}");
+            }
+            assert_eq!(owned.counters(), arena_egress.counters());
+        }
+    }
+
+    #[test]
+    fn failed_craft_appends_nothing() {
+        let mut e = egress_pair();
+        let mut arena = FrameArena::new();
+        e.craft_into(b"k", &[1u8; 20], &mut arena).unwrap();
+        assert_eq!(arena.len(), 2);
+        e.set_collector_liveness(0, false).unwrap();
+        e.set_collector_liveness(1, false).unwrap();
+        assert_eq!(
+            e.craft_into(b"k", &[1u8; 20], &mut arena),
+            Err(SwitchError::NoLiveCollector)
+        );
+        assert_eq!(
+            e.craft_into(b"k", &[1u8; 3], &mut arena),
+            Err(SwitchError::ValueLength {
+                expected: 20,
+                actual: 3
+            })
+        );
+        assert_eq!(arena.len(), 2);
     }
 
     #[test]

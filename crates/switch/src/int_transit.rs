@@ -188,12 +188,8 @@ impl IntSwitch {
         let value = stack
             .to_padded_value_bytes(self.padded_hops)
             .map_err(|_| IntError::StackOverflow)?;
-        let copies = self.egress.config().copies;
-        let mut reports = Vec::with_capacity(usize::from(copies));
-        for copy in 0..copies {
-            reports.push(self.egress.craft_report_copy(&key, &value, copy)?);
-        }
-        Ok(reports)
+        self.egress.require_key_write()?;
+        Ok(self.egress.craft(&key, &value)?)
     }
 }
 

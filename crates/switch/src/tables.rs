@@ -2,17 +2,17 @@
 //!
 //! The DART pipeline needs one control-plane-populated table: the
 //! *collector lookup table* mapping a hashed collector ID to the RDMA
-//! endpoint information used to craft RoCEv2 headers (§6). Tables have
-//! bounded capacity (TCAM/SRAM is finite), a default action on miss, and
-//! hit/miss counters — the minimum for resource accounting.
-
-use std::collections::HashMap;
-use std::hash::Hash;
+//! endpoint information used to craft RoCEv2 headers (§6). Collector IDs
+//! are dense, so the table is direct-indexed by its key, like a Tofino
+//! table whose match key is the action-data index: a lookup is one
+//! bounds check. Tables have bounded capacity (SRAM is finite), a
+//! default action on miss, and hit/miss counters — the minimum for
+//! resource accounting.
 
 /// Result of installing an entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum InstallError {
-    /// The table is at capacity.
+    /// The key is at or beyond the table's capacity.
     Full,
 }
 
@@ -35,41 +35,50 @@ pub struct TableCounters {
     pub misses: u64,
 }
 
-/// An exact-match match-action table of bounded capacity.
+/// A direct-indexed exact-match table: keys `0..capacity`, one action
+/// each.
 #[derive(Debug, Clone)]
-pub struct MatchActionTable<K: Eq + Hash, A> {
-    entries: HashMap<K, A>,
-    capacity: usize,
+pub struct MatchActionTable<A> {
+    entries: Vec<Option<A>>,
+    installed: usize,
     counters: TableCounters,
 }
 
-impl<K: Eq + Hash, A> MatchActionTable<K, A> {
-    /// Create a table holding at most `capacity` entries.
-    pub fn new(capacity: usize) -> MatchActionTable<K, A> {
+impl<A> MatchActionTable<A> {
+    /// Create a table for keys `0..capacity`.
+    pub fn new(capacity: usize) -> MatchActionTable<A> {
         MatchActionTable {
-            entries: HashMap::new(),
-            capacity,
+            entries: (0..capacity).map(|_| None).collect(),
+            installed: 0,
             counters: TableCounters::default(),
         }
     }
 
-    /// Install or replace an entry.
-    pub fn install(&mut self, key: K, action: A) -> Result<(), InstallError> {
-        if !self.entries.contains_key(&key) && self.entries.len() >= self.capacity {
-            return Err(InstallError::Full);
+    /// Install or replace the entry for `key`.
+    pub fn install(&mut self, key: u32, action: A) -> Result<(), InstallError> {
+        let entry = self
+            .entries
+            .get_mut(key as usize)
+            .ok_or(InstallError::Full)?;
+        if entry.is_none() {
+            self.installed += 1;
         }
-        self.entries.insert(key, action);
+        *entry = Some(action);
         Ok(())
     }
 
     /// Remove an entry.
-    pub fn remove(&mut self, key: &K) -> Option<A> {
-        self.entries.remove(key)
+    pub fn remove(&mut self, key: u32) -> Option<A> {
+        let removed = self.entries.get_mut(key as usize)?.take();
+        if removed.is_some() {
+            self.installed -= 1;
+        }
+        removed
     }
 
     /// Look up a key, updating hit/miss counters.
-    pub fn lookup(&mut self, key: &K) -> Option<&A> {
-        match self.entries.get(key) {
+    pub fn lookup(&mut self, key: u32) -> Option<&A> {
+        match self.entries.get(key as usize).and_then(Option::as_ref) {
             Some(action) => {
                 self.counters.hits += 1;
                 Some(action)
@@ -82,23 +91,23 @@ impl<K: Eq + Hash, A> MatchActionTable<K, A> {
     }
 
     /// Peek without touching counters (control-plane reads).
-    pub fn peek(&self, key: &K) -> Option<&A> {
-        self.entries.get(key)
+    pub fn peek(&self, key: u32) -> Option<&A> {
+        self.entries.get(key as usize)?.as_ref()
     }
 
     /// Installed entry count.
     pub fn len(&self) -> usize {
-        self.entries.len()
+        self.installed
     }
 
     /// Whether no entries are installed.
     pub fn is_empty(&self) -> bool {
-        self.entries.is_empty()
+        self.installed == 0
     }
 
     /// Capacity.
     pub fn capacity(&self) -> usize {
-        self.capacity
+        self.entries.len()
     }
 
     /// Hit/miss counters.
@@ -113,33 +122,35 @@ mod tests {
 
     #[test]
     fn install_lookup_remove() {
-        let mut t: MatchActionTable<u32, &'static str> = MatchActionTable::new(4);
+        let mut t: MatchActionTable<&'static str> = MatchActionTable::new(4);
         t.install(1, "one").unwrap();
-        assert_eq!(t.lookup(&1), Some(&"one"));
-        assert_eq!(t.lookup(&2), None);
-        assert_eq!(t.counters(), TableCounters { hits: 1, misses: 1 });
-        assert_eq!(t.remove(&1), Some("one"));
+        assert_eq!(t.lookup(1), Some(&"one"));
+        assert_eq!(t.lookup(2), None);
+        assert_eq!(t.lookup(9), None);
+        assert_eq!(t.counters(), TableCounters { hits: 1, misses: 2 });
+        assert_eq!(t.remove(1), Some("one"));
+        assert_eq!(t.remove(1), None);
         assert!(t.is_empty());
     }
 
     #[test]
     fn capacity_enforced() {
-        let mut t: MatchActionTable<u32, u32> = MatchActionTable::new(2);
-        t.install(1, 10).unwrap();
-        t.install(2, 20).unwrap();
-        assert_eq!(t.install(3, 30), Err(InstallError::Full));
+        let mut t: MatchActionTable<u32> = MatchActionTable::new(2);
+        t.install(0, 10).unwrap();
+        t.install(1, 20).unwrap();
+        assert_eq!(t.install(2, 30), Err(InstallError::Full));
         // Replacing an existing key is allowed at capacity.
-        t.install(2, 21).unwrap();
-        assert_eq!(t.peek(&2), Some(&21));
+        t.install(1, 21).unwrap();
+        assert_eq!(t.peek(1), Some(&21));
         assert_eq!(t.len(), 2);
         assert_eq!(t.capacity(), 2);
     }
 
     #[test]
     fn peek_does_not_count() {
-        let mut t: MatchActionTable<u32, u32> = MatchActionTable::new(2);
+        let mut t: MatchActionTable<u32> = MatchActionTable::new(2);
         t.install(1, 10).unwrap();
-        assert_eq!(t.peek(&1), Some(&10));
+        assert_eq!(t.peek(1), Some(&10));
         assert_eq!(t.counters(), TableCounters::default());
     }
 }

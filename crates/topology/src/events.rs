@@ -136,6 +136,7 @@ impl EventSim {
         self.tree
             .route_with_failures(flow.src, flow.dst, &flow.tuple, &self.failed)
             .expect("registered flows have valid endpoints")
+            .to_vec()
     }
 
     /// One tick: every flow sends one packet; sinks report changes.

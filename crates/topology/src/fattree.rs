@@ -10,8 +10,73 @@
 //! flow 5-tuple, so a flow is route-stable but flows spread over all
 //! equal-cost paths.
 
+use core::ops::Deref;
+
 use dta_core::hash::hash_bytes;
 use dta_wire::{ipv4, FiveTuple};
+
+/// The most switches a fat-tree route crosses:
+/// `edge → agg → core → agg → edge`.
+pub const MAX_PATH_HOPS: usize = 5;
+
+/// A route's switch IDs in traversal order, stored inline (a route is
+/// computed per flow, so it must not allocate). Reads as a `[u32]`
+/// slice and iterates by value or by reference like the `Vec` it
+/// replaces.
+#[derive(Clone, Copy, PartialEq, Eq, Hash)]
+pub struct Path {
+    hops: [u32; MAX_PATH_HOPS],
+    len: u8,
+}
+
+impl Path {
+    fn new(hops: &[u32]) -> Path {
+        let mut path = Path {
+            hops: [0; MAX_PATH_HOPS],
+            len: hops.len() as u8,
+        };
+        path.hops[..hops.len()].copy_from_slice(hops);
+        path
+    }
+}
+
+impl Deref for Path {
+    type Target = [u32];
+
+    fn deref(&self) -> &[u32] {
+        &self.hops[..usize::from(self.len)]
+    }
+}
+
+impl IntoIterator for Path {
+    type Item = u32;
+    type IntoIter = core::iter::Take<core::array::IntoIter<u32, MAX_PATH_HOPS>>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.hops.into_iter().take(usize::from(self.len))
+    }
+}
+
+impl<'a> IntoIterator for &'a Path {
+    type Item = &'a u32;
+    type IntoIter = core::slice::Iter<'a, u32>;
+
+    fn into_iter(self) -> Self::IntoIter {
+        self.iter()
+    }
+}
+
+impl PartialEq<Vec<u32>> for Path {
+    fn eq(&self, other: &Vec<u32>) -> bool {
+        **self == **other
+    }
+}
+
+impl core::fmt::Debug for Path {
+    fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
+        f.debug_list().entries(self.iter()).finish()
+    }
+}
 
 /// Which layer a switch belongs to.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -165,7 +230,7 @@ impl FatTree {
     /// ECMP route from `src` to `dst` for `flow`: the ordered switch IDs
     /// the packet traverses. Same-edge pairs take 1 hop, intra-pod 3,
     /// inter-pod 5.
-    pub fn route(&self, src: Host, dst: Host, flow: &FiveTuple) -> Result<Vec<u32>, TopologyError> {
+    pub fn route(&self, src: Host, dst: Host, flow: &FiveTuple) -> Result<Path, TopologyError> {
         self.route_with_failures(src, dst, flow, &[])
     }
 
@@ -181,7 +246,7 @@ impl FatTree {
         dst: Host,
         flow: &FiveTuple,
         failed: &[u32],
-    ) -> Result<Vec<u32>, TopologyError> {
+    ) -> Result<Path, TopologyError> {
         self.check_host(src)?;
         self.check_host(dst)?;
         let h = u64::from(self.half());
@@ -202,27 +267,27 @@ impl FatTree {
         };
 
         if src.pod == dst.pod && src.edge == dst.edge {
-            return Ok(vec![self.edge_id(src.pod, src.edge)]);
+            return Ok(Path::new(&[self.edge_id(src.pod, src.edge)]));
         }
         if src.pod == dst.pod {
             let a = pick(0xECB0, &|a| alive(self.agg_id(src.pod, a)));
-            return Ok(vec![
+            return Ok(Path::new(&[
                 self.edge_id(src.pod, src.edge),
                 self.agg_id(src.pod, a),
                 self.edge_id(dst.pod, dst.edge),
-            ]);
+            ]));
         }
         let a = pick(0xECB0, &|a| {
             alive(self.agg_id(src.pod, a)) && alive(self.agg_id(dst.pod, a))
         });
         let c = pick(0xECB1, &|c| alive(self.core_id(a, c)));
-        Ok(vec![
+        Ok(Path::new(&[
             self.edge_id(src.pod, src.edge),
             self.agg_id(src.pod, a),
             self.core_id(a, c),
             self.agg_id(dst.pod, a),
             self.edge_id(dst.pod, dst.edge),
-        ])
+        ]))
     }
 }
 

@@ -27,6 +27,6 @@ pub mod fattree;
 pub mod flowgen;
 pub mod sim;
 
-pub use fattree::{FatTree, Host, Layer};
+pub use fattree::{FatTree, Host, Layer, Path};
 pub use flowgen::FlowGenerator;
 pub use sim::{FatTreeSim, SimConfig, SimReport};

@@ -7,15 +7,13 @@
 //! classified as correct / empty / error — the §5 metrics — including
 //! per-age buckets for the Figure 4 aging curves.
 
-use std::collections::HashMap;
-
 use dta_collector::{CollectorCluster, CollectorHealth, FaultDrops, SweepConfig};
 use dta_core::config::DartConfig;
 use dta_core::hash::MappingKind;
 use dta_core::primitive::{increment_encode, seq_newest, PrimitiveSpec};
 use dta_core::query::{classify, QueryClass, QueryOutcome, ReturnPolicy};
 use dta_obs::{EventKind, Gauge, Obs};
-use dta_rdma::link::{link, FaultModel, LinkRx, LinkStats, LinkTx};
+use dta_rdma::link::{link, FaultModel, FrameArena, LinkStats, LinkTx};
 use dta_rdma::nic::DropReason;
 use dta_switch::control_plane::{ControlPlane, HealthMonitor, ProbeConfig};
 use dta_switch::egress::EgressConfig;
@@ -27,7 +25,7 @@ use dta_wire::FiveTuple;
 
 use dta_telemetry::int_path::PATH_HOPS;
 
-use crate::fattree::{FatTree, TopologyError};
+use crate::fattree::{FatTree, Path, TopologyError};
 use crate::flowgen::{FlowGenerator, Skew};
 
 /// How a finished flow's report copies reach the collector.
@@ -233,14 +231,18 @@ pub struct FatTreeSim {
     switches: Vec<IntSwitch>,
     cluster: CollectorCluster,
     tx: LinkTx,
-    rx: LinkRx,
+    /// The frames of the flow in flight: crafted here by the sink's
+    /// egress, rewritten by the link into what it delivered, read in
+    /// place by the cluster, then cleared for the next flow.
+    arena: FrameArena,
     flowgen: FlowGenerator,
-    /// `(key 5-tuple, true value)` in insertion (age) order.
-    truths: Vec<(FiveTuple, Vec<u8>)>,
-    /// Key-Increment only: index into `truths` per tuple, so a repeated
-    /// flow *accumulates* its expected total instead of inserting a
-    /// second (stale) truth entry.
-    truth_index: HashMap<FiveTuple, usize>,
+    /// Ground truth in insertion (age) order: flow `i`'s key is
+    /// `truth_keys[i]` and its true value is the `i`-th
+    /// `truth_stride`-byte chunk of `truth_values`. The flow generator
+    /// never repeats a tuple, so every flow has its own entry.
+    truth_keys: Vec<FiveTuple>,
+    truth_values: Vec<u8>,
+    truth_stride: usize,
     monitor: HealthMonitor,
     /// Scheduled faults not yet fired.
     pending_faults: Vec<CollectorFault>,
@@ -321,11 +323,16 @@ impl FatTreeSim {
             switches.push(sw);
         }
 
-        let (tx, rx) = link(config.fault, config.seed ^ 0x11A);
+        // Frames travel in the arena, never over the link's channel.
+        let (tx, _rx) = link(config.fault, config.seed ^ 0x11A);
         let flowgen = FlowGenerator::new(tree, config.skew, config.seed ^ 0xF10);
         let mut monitor = HealthMonitor::new(config.collectors, config.probe);
         monitor.attach_obs(&obs);
         let pending_faults = config.faults.clone();
+        let truth_stride = match config.primitive {
+            PrimitiveSpec::KeyIncrement => 8,
+            _ => PATH_HOPS * 4,
+        };
         let link_gauges = obs.is_enabled().then(|| {
             ["dta_link_sent", "dta_link_delivered", "dta_link_dropped"]
                 .map(|name| obs.registry().gauge(name))
@@ -336,10 +343,11 @@ impl FatTreeSim {
             switches,
             cluster,
             tx,
-            rx,
+            arena: FrameArena::new(),
             flowgen,
-            truths: Vec::new(),
-            truth_index: HashMap::new(),
+            truth_keys: Vec::new(),
+            truth_values: Vec::new(),
+            truth_stride,
             monitor,
             pending_faults,
             pending_recoveries: Vec::new(),
@@ -361,7 +369,20 @@ impl FatTreeSim {
 
     /// Number of flows simulated so far.
     pub fn flows_run(&self) -> u64 {
-        self.truths.len() as u64
+        self.truth_keys.len() as u64
+    }
+
+    /// Every reported flow's key and true value, oldest first.
+    fn truths(&self) -> impl Iterator<Item = (&FiveTuple, &[u8])> + '_ {
+        self.truth_keys
+            .iter()
+            .zip(self.truth_values.chunks_exact(self.truth_stride))
+    }
+
+    fn record_truth(&mut self, tuple: FiveTuple, value: &[u8]) {
+        debug_assert_eq!(value.len(), self.truth_stride);
+        self.truth_keys.push(tuple);
+        self.truth_values.extend_from_slice(value);
     }
 
     /// Run one flow end to end; returns its key.
@@ -380,91 +401,51 @@ impl FatTreeSim {
             self.switches[switch_index(hop)].process(&mut packet, role)?;
         }
 
-        // Sink reporting (the last hop on the route).
+        // Sink reporting (the last hop on the route): every frame of the
+        // flow is crafted straight into the arena.
         let sink_id = *route.last().expect("routes are non-empty");
-        let sink = &mut self.switches[switch_index(sink_id)];
-        let truth = packet
-            .stack
-            .to_padded_value_bytes(PATH_HOPS)
-            .map_err(|_| SimError::Switch(IntError::StackOverflow))?;
-
+        let sink = self.switches[switch_index(sink_id)].egress_mut();
+        let key = flow.tuple.to_bytes();
+        let frames = &mut self.arena;
         match self.config.primitive {
-            PrimitiveSpec::KeyWrite => {
-                match self.config.mode {
-                    // All `N` copies, from the key and value built once
-                    // for the flow (what `report_all_copies` sends).
-                    ReportMode::AllCopies => {
-                        for report in sink
-                            .egress_mut()
-                            .craft(&flow.tuple.to_bytes(), &truth)
-                            .map_err(IntError::Switch)?
-                        {
-                            self.tx.send(report.frame);
-                        }
-                    }
-                    ReportMode::PerPacket(count) => {
-                        let key = flow.tuple.to_bytes();
+            PrimitiveSpec::KeyWrite | PrimitiveSpec::Append { .. } => {
+                let mut value = [0u8; PATH_HOPS * 4];
+                packet
+                    .stack
+                    .write_padded_value_bytes(&mut value)
+                    .map_err(|_| SimError::Switch(IntError::StackOverflow))?;
+                match (self.config.primitive, self.config.mode) {
+                    // Reports to RNG-chosen copy slots.
+                    (PrimitiveSpec::KeyWrite, ReportMode::PerPacket(count)) => {
                         for _ in 0..count {
-                            let report = sink
-                                .egress_mut()
-                                .craft_report(&key, &truth)
+                            sink.craft_report_into(&key, &value, frames)
                                 .map_err(IntError::Switch)?;
-                            self.tx.send(report.frame);
                         }
                     }
+                    // Key-Write: all `N` copies. Append: one ring entry
+                    // per finished flow, whatever the report mode — it
+                    // has no copy fan-out to cover, and a repeated entry
+                    // would (correctly) read back twice.
+                    _ => sink
+                        .craft_into(&key, &value, frames)
+                        .map_err(IntError::Switch)?,
                 }
-                self.truths.push((flow.tuple, truth));
-            }
-            PrimitiveSpec::Append { .. } => {
-                // One ring entry per finished flow, whatever the report
-                // mode — Append has no copy fan-out to cover, and a
-                // repeated entry would (correctly) read back twice.
-                let key = flow.tuple.to_bytes();
-                for report in sink
-                    .egress_mut()
-                    .craft(&key, &truth)
-                    .map_err(IntError::Switch)?
-                {
-                    self.tx.send(report.frame);
-                }
-                self.truths.push((flow.tuple, truth));
+                self.record_truth(flow.tuple, &value);
             }
             PrimitiveSpec::KeyIncrement => {
                 // The flow contributes FETCH_ADD deltas of 1 (a packet
-                // counter); `PerPacket(n)` models an n-packet flow. The
-                // ground truth is the *accumulated* expected total.
-                let key = flow.tuple.to_bytes();
+                // counter); `PerPacket(n)` models an n-packet flow, and
+                // the ground truth is its total.
                 let reports = match self.config.mode {
                     ReportMode::AllCopies => 1u64,
                     ReportMode::PerPacket(count) => u64::from(count),
                 };
                 let delta = increment_encode(1);
                 for _ in 0..reports {
-                    for report in sink
-                        .egress_mut()
-                        .craft(&key, &delta)
-                        .map_err(IntError::Switch)?
-                    {
-                        self.tx.send(report.frame);
-                    }
+                    sink.craft_into(&key, &delta, frames)
+                        .map_err(IntError::Switch)?;
                 }
-                match self.truth_index.get(&flow.tuple) {
-                    Some(&i) => {
-                        let old = u64::from_be_bytes(
-                            self.truths[i]
-                                .1
-                                .as_slice()
-                                .try_into()
-                                .expect("8-byte truth"),
-                        );
-                        self.truths[i].1 = (old + reports).to_be_bytes().to_vec();
-                    }
-                    None => {
-                        self.truth_index.insert(flow.tuple, self.truths.len());
-                        self.truths
-                            .push((flow.tuple, reports.to_be_bytes().to_vec()));
-                    }
-                }
+                self.record_truth(flow.tuple, &increment_encode(reports));
             }
         }
 
@@ -475,17 +456,15 @@ impl FatTreeSim {
         Ok(flow.tuple)
     }
 
-    /// Flush the link and feed every delivered frame to the cluster,
-    /// logging link-level outcomes and advancing the observability
-    /// clock to the frame count.
+    /// Put the arena's frames on the link, flush it, and feed every
+    /// delivered frame to the cluster (which logs each as a delivered
+    /// link frame); then log the link-level drops and advance the
+    /// observability clock to the frame count.
     fn drain_link(&mut self) {
-        self.tx.flush();
-        while let Some(frame) = self.rx.try_recv() {
-            if self.obs.is_enabled() {
-                self.obs.event(EventKind::LinkFrame { delivered: true });
-            }
-            self.cluster.deliver(&frame);
-        }
+        self.tx.transmit(&mut self.arena);
+        self.tx.flush_into(&mut self.arena);
+        self.cluster.deliver_batch(&self.arena);
+        self.arena.clear();
         let stats = self.tx.stats();
         if self.obs.is_enabled() {
             for _ in self.link_dropped_seen..stats.dropped {
@@ -617,7 +596,7 @@ impl FatTreeSim {
     /// key space is disjoint from the in-band keys); query them back via
     /// [`dta_collector::QueryService::postcard`] over
     /// [`FatTreeSim::cluster`].
-    pub fn run_flow_postcards(&mut self) -> Result<(FiveTuple, Vec<u32>), SimError> {
+    pub fn run_flow_postcards(&mut self) -> Result<(FiveTuple, Path), SimError> {
         use dta_telemetry::event::Backend;
         use dta_telemetry::postcard::{PostcardBackend, PostcardKey};
 
@@ -633,11 +612,9 @@ impl FatTreeSim {
             );
             let sw = &mut self.switches[switch_index(switch_id)];
             for copy in 0..self.config.copies {
-                let report = sw
-                    .egress_mut()
-                    .craft_report_copy(&record.key, &record.value, copy)
+                sw.egress_mut()
+                    .craft_report_copy_into(&record.key, &record.value, copy, &mut self.arena)
                     .map_err(IntError::Switch)?;
-                self.tx.send(report.frame);
             }
         }
         self.drain_link();
@@ -667,7 +644,7 @@ impl FatTreeSim {
     /// event-log listkey, so the operator reads the recent measurement
     /// history instead of only the freshest postcard. Requires the sim
     /// to be configured with [`PrimitiveSpec::Append`].
-    pub fn run_flow_postcard_log(&mut self) -> Result<(FiveTuple, Vec<u32>), SimError> {
+    pub fn run_flow_postcard_log(&mut self) -> Result<(FiveTuple, Path), SimError> {
         use dta_telemetry::event::Backend;
         use dta_telemetry::postcard::{PostcardBackend, PostcardKey};
 
@@ -680,14 +657,10 @@ impl FatTreeSim {
             });
             let value =
                 PostcardBackend::encode_value(&Self::synthetic_measurement(hop as u32, switch_id));
-            let sw = &mut self.switches[switch_index(switch_id)];
-            for report in sw
+            self.switches[switch_index(switch_id)]
                 .egress_mut()
-                .craft(&key, &value)
-                .map_err(IntError::Switch)?
-            {
-                self.tx.send(report.frame);
-            }
+                .craft_into(&key, &value, &mut self.arena)
+                .map_err(IntError::Switch)?;
         }
         self.drain_link();
         self.advance_faults();
@@ -698,7 +671,7 @@ impl FatTreeSim {
     /// buckets (oldest first).
     pub fn query_all(&self, buckets: usize) -> SimReport {
         let buckets = buckets.max(1);
-        let total = self.truths.len().max(1);
+        let total = self.truth_keys.len().max(1);
         let mut correct = 0u64;
         let mut empty = 0u64;
         let mut error = 0u64;
@@ -706,7 +679,7 @@ impl FatTreeSim {
         let mut bucket_correct = vec![0u64; buckets];
         let mut bucket_total = vec![0u64; buckets];
 
-        for (i, (tuple, truth)) in self.truths.iter().enumerate() {
+        for (i, (tuple, truth)) in self.truths().enumerate() {
             let bucket = i * buckets / total;
             bucket_total[bucket] += 1;
             match self.cluster.try_query(&tuple.to_bytes()) {
@@ -781,7 +754,7 @@ impl core::fmt::Debug for FatTreeSim {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("FatTreeSim")
             .field("k", &self.config.k)
-            .field("flows_run", &self.truths.len())
+            .field("flows_run", &self.truth_keys.len())
             .finish_non_exhaustive()
     }
 }
@@ -1102,8 +1075,8 @@ mod tests {
         // (inflated) total — that is Key-Increment's intrinsic collision
         // mode, bounded here, and exactness holds for everyone else.
         let mut merged = 0u64;
-        for (tuple, truth) in &sim.truths {
-            let expected = u64::from_be_bytes(truth.as_slice().try_into().unwrap());
+        for (tuple, truth) in sim.truths() {
+            let expected = u64::from_be_bytes(truth.try_into().unwrap());
             match sim.try_query_flow(tuple).unwrap() {
                 QueryOutcome::Empty => panic!("loss-free increments cannot vanish"),
                 QueryOutcome::Answer(bytes) => {
@@ -1139,8 +1112,8 @@ mod tests {
         // The min-over-copies answer is conservative: totals may lag the
         // truth (lost FETCH_ADDs) but can never exceed it.
         let mut lagging = 0u64;
-        for (tuple, truth) in &sim.truths {
-            let expected = u64::from_be_bytes(truth.as_slice().try_into().unwrap());
+        for (tuple, truth) in sim.truths() {
+            let expected = u64::from_be_bytes(truth.try_into().unwrap());
             match sim.try_query_flow(tuple).unwrap() {
                 QueryOutcome::Empty => lagging += 1,
                 QueryOutcome::Answer(bytes) => {

@@ -120,14 +120,29 @@ impl IntStack {
     /// Encode padded with zero words to exactly `hops` entries — DART
     /// slots are fixed-size, so shorter paths are zero-padded.
     pub fn to_padded_value_bytes(&self, hops: usize) -> Result<Vec<u8>> {
-        if self.len > hops {
+        let mut out = vec![0u8; hops * HopMetadata::WIRE_LEN];
+        self.write_padded_value_bytes(&mut out)?;
+        Ok(out)
+    }
+
+    /// [`IntStack::to_padded_value_bytes`] into `out`, whose length
+    /// names the padded size (`hops * 4` bytes); no allocation.
+    pub fn write_padded_value_bytes(&self, out: &mut [u8]) -> Result<()> {
+        if out.len() % HopMetadata::WIRE_LEN != 0 {
+            return Err(Error::Malformed);
+        }
+        if self.len * HopMetadata::WIRE_LEN > out.len() {
             return Err(Error::Overflow);
         }
-        // One allocation: sized for the padding up front.
-        let mut out = Vec::with_capacity(hops * HopMetadata::WIRE_LEN);
-        self.extend_value_bytes(&mut out);
-        out.resize(hops * HopMetadata::WIRE_LEN, 0);
-        Ok(out)
+        let (live, padding) = out.split_at_mut(self.len * HopMetadata::WIRE_LEN);
+        for (word, hop) in live
+            .chunks_exact_mut(HopMetadata::WIRE_LEN)
+            .zip(self.hops())
+        {
+            word.copy_from_slice(&hop.switch_id.to_be_bytes());
+        }
+        padding.fill(0);
+        Ok(())
     }
 }
 

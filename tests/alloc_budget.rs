@@ -3,8 +3,16 @@
 //! tests do not disturb each other) pins how many heap allocations each
 //! step may make:
 //!
-//! * a Key-Write egress frame: at most 2 — the frame itself, plus the
-//!   flow's value bytes and report list shared by its `N` frames;
+//! * a Key-Write or Key-Increment frame crafted into a warm
+//!   `FrameArena` and delivered with `CollectorCluster::deliver_batch`:
+//!   none, end to end;
+//! * a whole `FatTreeSim::run_flow` (flow generation, routing, INT,
+//!   egress, link, delivery, ground truth): at most 0.05 per flow on
+//!   average once warm — only the amortized growth of the truth and
+//!   flow-dedup tables remains;
+//! * a Key-Write egress frame crafted as an owned `CraftedReport` (the
+//!   wrapper API): at most 2 — the frame itself, plus the flow's value
+//!   bytes and report list shared by its `N` frames;
 //! * a delivered WRITE or FETCH_ADD: none (zero-copy parse, DMA in
 //!   place, the RC ACK described rather than serialized);
 //! * a point query on a healthy cluster: at most 4 — the candidate list,
@@ -21,11 +29,13 @@ use direct_telemetry_access::core::primitive::increment_encode;
 use direct_telemetry_access::core::query::QueryOutcome;
 use direct_telemetry_access::core::PrimitiveSpec;
 use direct_telemetry_access::obs::Obs;
+use direct_telemetry_access::rdma::link::FrameArena;
 use direct_telemetry_access::rdma::nic::RxAction;
 use direct_telemetry_access::switch::control_plane::ControlPlane;
 use direct_telemetry_access::switch::egress::{CraftedReport, EgressConfig};
 use direct_telemetry_access::switch::int_transit::{IntPacket, IntRole, IntSwitch};
 use direct_telemetry_access::switch::SwitchIdentity;
+use direct_telemetry_access::topology::sim::{FatTreeSim, ReportMode, SimConfig};
 use direct_telemetry_access::wire::int::{HopMetadata, IntStack};
 use direct_telemetry_access::wire::{ipv4, FiveTuple};
 
@@ -229,4 +239,79 @@ fn int_transit_allocates_nothing() {
     });
     assert_eq!(packet.stack.len(), HOPS);
     assert_eq!(allocs, 0, "INT transit over {HOPS} hops allocated");
+}
+
+/// Craft one flow's report into `arena` and deliver the batch.
+fn arena_flow(
+    cluster: &mut CollectorCluster,
+    switch: &mut IntSwitch,
+    arena: &mut FrameArena,
+    i: u32,
+    primitive: PrimitiveSpec,
+) {
+    let key = flow(i).to_bytes();
+    match primitive {
+        PrimitiveSpec::KeyIncrement => switch
+            .egress_mut()
+            .craft_into(&key, &increment_encode(1), arena)
+            .unwrap(),
+        _ => {
+            let mut value = [0u8; HOPS * 4];
+            path(i).write_padded_value_bytes(&mut value).unwrap();
+            switch.egress_mut().craft_into(&key, &value, arena).unwrap();
+        }
+    }
+    assert_eq!(arena.len(), 2);
+    cluster.deliver_batch(arena);
+    arena.clear();
+}
+
+#[test]
+fn arena_report_path_allocates_nothing() {
+    for primitive in [PrimitiveSpec::KeyWrite, PrimitiveSpec::KeyIncrement] {
+        let (mut cluster, mut switch) = system(primitive);
+        let mut arena = FrameArena::new();
+        // Warm the arena's two buffers.
+        arena_flow(&mut cluster, &mut switch, &mut arena, 0, primitive);
+        for i in 1..200u32 {
+            let ((), allocs) =
+                allocs_during(|| arena_flow(&mut cluster, &mut switch, &mut arena, i, primitive));
+            assert_eq!(
+                allocs, 0,
+                "{primitive:?} flow {i}: crafting and delivery allocated"
+            );
+        }
+        let executed = match primitive {
+            PrimitiveSpec::KeyIncrement => cluster.total_atomics(),
+            _ => cluster.total_writes(),
+        };
+        assert_eq!(executed, 400, "{primitive:?}: every frame executed");
+    }
+}
+
+#[test]
+fn fattree_flows_average_under_five_hundredths_of_an_allocation() {
+    for (primitive, mode) in [
+        (PrimitiveSpec::KeyWrite, ReportMode::AllCopies),
+        (PrimitiveSpec::KeyIncrement, ReportMode::PerPacket(4)),
+    ] {
+        let mut sim = FatTreeSim::new(SimConfig {
+            k: 8,
+            primitive,
+            mode,
+            slots: SLOTS,
+            collectors: 4,
+            ..SimConfig::default()
+        })
+        .unwrap();
+        sim.run_flows(2_000).unwrap();
+        const FLOWS: u64 = 20_000;
+        let (result, allocs) = allocs_during(|| sim.run_flows(FLOWS));
+        result.unwrap();
+        let per_flow = allocs as f64 / FLOWS as f64;
+        assert!(
+            per_flow <= 0.05,
+            "{primitive:?} {mode:?}: {allocs} allocations over {FLOWS} flows"
+        );
+    }
 }
