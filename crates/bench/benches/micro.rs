@@ -1,12 +1,15 @@
 //! Micro-benchmarks of the hot paths: hashing, slot encoding, report
-//! crafting (switch) and frame processing (NIC), plus the end-to-end
-//! fat-tree flow.
+//! crafting (switch) and frame processing (NIC), cluster point queries
+//! (trace-free and explained), plus the end-to-end fat-tree flow.
 
 use criterion::{criterion_group, criterion_main, Criterion, Throughput};
 use std::hint::black_box;
 
-use dta_core::hash::{AddressMapping, CrcMapping, Mix64Mapping};
+use dta_collector::CollectorCluster;
+use dta_core::config::DartConfig;
+use dta_core::hash::{AddressMapping, CrcMapping, LivenessMask, MappingKind, Mix64Mapping};
 use dta_rdma::verbs::RemoteEndpoint;
+use dta_switch::control_plane::ControlPlane;
 use dta_switch::egress::{DartEgress, EgressConfig};
 use dta_switch::SwitchIdentity;
 use dta_wire::crc::Crc32;
@@ -109,6 +112,78 @@ fn bench_report_crafting(c: &mut Criterion) {
     group.finish();
 }
 
+/// `try_query` against `explain` on a four-collector Key-Write cluster
+/// holding 10,000 keys, with collector 1 marked dead: a hit (answered by
+/// its live primary), a miss (never reported) and a failover read (the
+/// survivor is empty for the key, its primary behind it answers).
+fn bench_cluster_query(c: &mut Criterion) {
+    const SLOTS: u64 = 1 << 16;
+    const VICTIM: u32 = 1;
+    let config = DartConfig::builder()
+        .slots(SLOTS)
+        .copies(2)
+        .value_len(20)
+        .collectors(4)
+        .mapping(MappingKind::Crc)
+        .build()
+        .unwrap();
+    let mut egress = DartEgress::new(
+        SwitchIdentity::derived(1),
+        EgressConfig {
+            copies: 2,
+            slots: SLOTS,
+            layout: config.layout,
+            collectors: 4,
+            udp_src_port: 49152,
+            primitive: dta_core::PrimitiveSpec::KeyWrite,
+        },
+        7,
+    )
+    .unwrap();
+    let policy = config.policy;
+    let mut cluster = CollectorCluster::new(config).unwrap();
+    let directory = cluster.directory_for_switch();
+    ControlPlane::new()
+        .install_directory(&mut egress, &directory)
+        .unwrap();
+    let key = |i: u32| {
+        let mut key = [0u8; 13];
+        key[..4].copy_from_slice(&i.to_be_bytes());
+        key
+    };
+    for i in 0..10_000 {
+        for report in egress.craft(&key(i), &[7u8; 20]).unwrap() {
+            cluster.deliver(&report.frame);
+        }
+    }
+    let mut mask = LivenessMask::all_live(4);
+    mask.set_live(VICTIM, false);
+    cluster.set_liveness_mask(mask);
+    let reported_on = |victim: bool| {
+        (0..10_000)
+            .map(key)
+            .find(|k| (cluster.collector_of(k) == VICTIM) == victim)
+            .unwrap()
+    };
+    let cases = [
+        ("hit", reported_on(false)),
+        ("miss", key(u32::MAX)),
+        ("failover", reported_on(true)),
+    ];
+
+    let mut group = c.benchmark_group("micro/cluster_query");
+    group.throughput(Throughput::Elements(1));
+    for (name, key) in cases {
+        group.bench_function(format!("try_query_{name}"), |b| {
+            b.iter(|| black_box(cluster.try_query(black_box(&key))))
+        });
+        group.bench_function(format!("explain_{name}"), |b| {
+            b.iter(|| black_box(cluster.explain(black_box(&key), policy)))
+        });
+    }
+    group.finish();
+}
+
 fn bench_e2e_flow(c: &mut Criterion) {
     use dta_topology::sim::{FatTreeSim, SimConfig};
     let mut group = c.benchmark_group("micro/e2e");
@@ -130,6 +205,7 @@ criterion_group!(
     bench_icrc,
     bench_slot_codec,
     bench_report_crafting,
+    bench_cluster_query,
     bench_e2e_flow
 );
 criterion_main!(benches);

@@ -21,7 +21,7 @@ use dta_core::hash::{
 };
 use dta_core::primitive::{append_encode_entry, append_newest_seq, append_scan, seq_newest};
 use dta_core::query::{DecisionReason, QueryOutcome, ReturnPolicy};
-use dta_core::store::StoreExplain;
+use dta_core::store::{ProbeTrace, SlotProbe, StoreExplain};
 use dta_core::{DartError, PrimitiveSpec};
 use dta_obs::{Counter, EventKind, Obs};
 use dta_rdma::link::FrameArena;
@@ -310,6 +310,103 @@ enum UnitBuild {
     /// The failover source itself is unreachable right now — park the
     /// key for a later sweep.
     TargetDown,
+}
+
+/// Where one cluster query's trace goes, candidate by candidate — what
+/// the cluster's query implementation is generic over. `()` records
+/// nothing, so [`CollectorCluster::try_query`] compiles to a trace-free
+/// read; `Vec<CandidateProbe>` builds
+/// [`ClusterQueryExplain::candidates`].
+trait CandidateTrace {
+    /// Whether the trace keeps decision reasons, so the restored-copy
+    /// relabel must run even with no event ring attached.
+    const NARRATES: bool;
+    /// The per-slot trace each consulted candidate is read with.
+    type Probes: ProbeTrace + Default;
+    /// A candidate was skipped: its host is unreachable.
+    fn unreachable(&mut self, collector: u32);
+    /// A candidate was read: its probes and what its store decided.
+    fn consulted(
+        &mut self,
+        collector: u32,
+        probes: Self::Probes,
+        policy: ReturnPolicy,
+        reason: DecisionReason,
+        outcome: &QueryOutcome,
+    );
+}
+
+impl CandidateTrace for () {
+    const NARRATES: bool = false;
+    type Probes = ();
+
+    fn unreachable(&mut self, _collector: u32) {}
+
+    fn consulted(
+        &mut self,
+        _collector: u32,
+        _probes: (),
+        _policy: ReturnPolicy,
+        _reason: DecisionReason,
+        _outcome: &QueryOutcome,
+    ) {
+    }
+}
+
+impl CandidateTrace for Vec<CandidateProbe> {
+    const NARRATES: bool = true;
+    type Probes = Vec<SlotProbe>;
+
+    fn unreachable(&mut self, collector: u32) {
+        self.push(CandidateProbe {
+            collector,
+            reachable: false,
+            explain: None,
+        });
+    }
+
+    fn consulted(
+        &mut self,
+        collector: u32,
+        probes: Vec<SlotProbe>,
+        policy: ReturnPolicy,
+        reason: DecisionReason,
+        outcome: &QueryOutcome,
+    ) {
+        self.push(CandidateProbe {
+            collector,
+            reachable: true,
+            explain: Some(StoreExplain {
+                probes,
+                policy,
+                reason,
+                outcome: outcome.clone(),
+            }),
+        });
+    }
+}
+
+/// A candidate's probe trace that also emits every probe as an
+/// [`EventKind::QueryProbe`] when an enabled event ring is attached.
+struct ObservedProbes<'a, P> {
+    events: Option<&'a Obs>,
+    collector: u8,
+    trace: P,
+}
+
+impl<P: ProbeTrace> ProbeTrace for ObservedProbes<'_, P> {
+    fn probe(&mut self, probe: SlotProbe) {
+        if let Some(obs) = self.events {
+            obs.event(EventKind::QueryProbe {
+                collector: self.collector,
+                copy: probe.copy,
+                slot: probe.slot,
+                occupied: probe.occupied,
+                matched: probe.checksum_matched,
+            });
+        }
+        self.trace.probe(probe);
+    }
 }
 
 /// Cached metric handles for an attached observability registry.
@@ -700,8 +797,9 @@ impl CollectorCluster {
     /// Query a key under the configured policy: hash to the owning
     /// collector and query locally there (the four steps of §3.2).
     /// Unreachable collectors surface as [`QueryError`], not as `Empty`.
+    /// Records no trace.
     pub fn try_query(&self, key: &[u8]) -> Result<QueryOutcome, QueryError> {
-        self.explain(key, self.config.policy).outcome
+        self.query_traced(key, self.config.policy, &mut ()).2
     }
 
     /// Explain a query under the configured default policy — see
@@ -717,19 +815,44 @@ impl CollectorCluster {
     /// locations are read freshest first; the outcome is an error only
     /// when *no* location is reachable.
     ///
-    /// This *is* the query path — [`CollectorCluster::try_query`] and
-    /// [`CollectorCluster::query_explain`] are default-policy wrappers
-    /// over it — so the trace can never drift from the answer operators
-    /// actually received. It only reads collector memory, so any number
-    /// of threads may query one `&CollectorCluster` at once.
+    /// This runs the same implementation as
+    /// [`CollectorCluster::try_query`] with a recording trace, so the
+    /// trace can never drift from the answer operators actually
+    /// received. It only reads collector memory, so any number of
+    /// threads may query one `&CollectorCluster` at once.
     pub fn explain(&self, key: &[u8], policy: ReturnPolicy) -> ClusterQueryExplain {
-        let key_collector = self.collector_of(key);
+        let mut candidates = Vec::with_capacity(2);
+        let (routing, answered_by, outcome) = self.query_traced(key, policy, &mut candidates);
+        let key_collector = match routing {
+            QueryRouting::Primary(primary)
+            | QueryRouting::Failover { primary, .. }
+            | QueryRouting::NoneLive(primary) => primary,
+        };
+        ClusterQueryExplain {
+            key_collector,
+            routing,
+            candidates,
+            answered_by,
+            outcome,
+        }
+    }
+
+    /// The query implementation, generic over where its trace goes:
+    /// returns the routing, the answering collector and the outcome, and
+    /// hands every candidate read (or skipped) to `trace`. Lifecycle
+    /// events and query counters are the same whatever the trace.
+    fn query_traced<T: CandidateTrace>(
+        &self,
+        key: &[u8],
+        policy: ReturnPolicy,
+        trace: &mut T,
+    ) -> (QueryRouting, Option<u32>, Result<QueryOutcome, QueryError>) {
         let routing = match failover_collector(self.mapping.as_ref(), key, self.liveness) {
             FailoverTarget::Primary(p) => QueryRouting::Primary(p),
             FailoverTarget::Failover { primary, target } => {
                 QueryRouting::Failover { primary, target }
             }
-            FailoverTarget::NoneLive => QueryRouting::NoneLive(key_collector),
+            FailoverTarget::NoneLive { primary } => QueryRouting::NoneLive(primary),
         };
         // Read order is freshest-first — the query-side half of the
         // failover contract. While the mask marks the primary dead, new
@@ -741,75 +864,65 @@ impl CollectorCluster {
         // stranded there by a past outage can never shadow the primary
         // (the recovery sweep copies stranded data back and tombstones
         // the failover slot — see [`CollectorCluster::schedule_rerepl`]).
-        let (order, reads) = match routing {
-            QueryRouting::Primary(p) | QueryRouting::NoneLive(p) => ([p, p], 1),
-            QueryRouting::Failover { primary, target } => ([target, primary], 2),
+        let (primary, order, reads) = match routing {
+            QueryRouting::Primary(p) | QueryRouting::NoneLive(p) => (p, [p, p], 1),
+            QueryRouting::Failover { primary, target } => (primary, [target, primary], 2),
         };
-        let mut candidates = Vec::with_capacity(reads);
-        let mut answered_by = None;
+        let events = self
+            .obs
+            .as_ref()
+            .map(|o| &o.obs)
+            .filter(|obs| obs.is_enabled());
         let mut answer = None;
         let mut any_reachable = false;
         for &id in &order[..reads] {
-            let reachable = self.health[id as usize].reachable();
-            if !reachable {
-                candidates.push(CandidateProbe {
-                    collector: id,
-                    reachable,
-                    explain: None,
-                });
+            if !self.health[id as usize].reachable() {
+                trace.unreachable(id);
                 continue;
             }
             any_reachable = true;
-            let mut explain = self.collectors[id as usize].query_explain(key, policy);
+            let mut probes = ObservedProbes {
+                events,
+                collector: id as u8,
+                trace: T::Probes::default(),
+            };
+            let (outcome, mut reason) =
+                self.collectors[id as usize].query_traced(key, policy, &mut probes);
             // The answering slots of a swept key are re-replicated
             // copies, not the original switch writes — surface that in
             // the trace (and in the decision event) so operators can see
             // an answer survived an outage. Only the key's own primary
             // holds re-replicated data: the sweep tombstoned the
-            // failover copies when it completed.
-            if id == key_collector && self.restored_keys.contains(key) {
-                if let DecisionReason::Answered { votes } = explain.reason {
-                    explain.reason = DecisionReason::RereplicatedCopy { votes };
+            // failover copies when it completed. Nobody reads the reason
+            // of an untraced, unobserved query, so it skips the lookup.
+            if (T::NARRATES || events.is_some()) && id == primary {
+                if let DecisionReason::Answered { votes } = reason {
+                    if self.restored_keys.contains(key) {
+                        reason = DecisionReason::RereplicatedCopy { votes };
+                    }
                 }
             }
-            if let Some(o) = &self.obs {
-                for probe in &explain.probes {
-                    o.obs.event(EventKind::QueryProbe {
-                        collector: id as u8,
-                        copy: probe.copy,
-                        slot: probe.slot,
-                        occupied: probe.occupied,
-                        matched: probe.checksum_matched,
-                    });
-                }
-                o.obs.event(EventKind::QueryDecision {
+            if let Some(obs) = events {
+                obs.event(EventKind::QueryDecision {
                     collector: id as u8,
-                    reason: explain.reason.name(),
-                    answered: explain.outcome.is_answer(),
+                    reason: reason.name(),
+                    answered: outcome.is_answer(),
                 });
             }
-            let is_answer = explain.outcome.is_answer();
-            if is_answer && answer.is_none() {
-                answered_by = Some(id);
-                answer = Some(explain.outcome.clone());
-            }
-            candidates.push(CandidateProbe {
-                collector: id,
-                reachable,
-                explain: Some(explain),
-            });
-            if is_answer {
-                // The plain path stops at the first answering location;
-                // keep the trace identical.
+            trace.consulted(id, probes.trace, policy, reason, &outcome);
+            if outcome.is_answer() {
+                // Stop at the first answering location.
+                answer = Some((id, outcome));
                 break;
             }
         }
-        let outcome = match answer {
-            Some(found) => Ok(found),
-            None if any_reachable => Ok(QueryOutcome::Empty),
-            None => Err(QueryError::CollectorUnreachable {
-                collector: key_collector,
-            }),
+        let (answered_by, outcome) = match answer {
+            Some((id, found)) => (Some(id), Ok(found)),
+            None if any_reachable => (None, Ok(QueryOutcome::Empty)),
+            None => (
+                None,
+                Err(QueryError::CollectorUnreachable { collector: primary }),
+            ),
         };
         if let Some(o) = &self.obs {
             match &outcome {
@@ -818,13 +931,7 @@ impl CollectorCluster {
                 Err(_) => o.queries_unreachable.inc(),
             }
         }
-        ClusterQueryExplain {
-            key_collector,
-            routing,
-            candidates,
-            answered_by,
-            outcome,
-        }
+        (routing, answered_by, outcome)
     }
 
     /// Aggregate NIC write counters across the cluster.

@@ -6,8 +6,8 @@
 //! (the NIC data path) and the CPU only runs [`DartCollector::query`].
 
 use dta_core::config::DartConfig;
-use dta_core::query::{QueryOutcome, ReturnPolicy};
-use dta_core::store::{OwnedQueryEngine, StoreExplain};
+use dta_core::query::{DecisionReason, QueryOutcome, ReturnPolicy};
+use dta_core::store::{OwnedQueryEngine, ProbeTrace, StoreExplain};
 use dta_core::{DartError, PrimitiveSpec};
 use dta_rdma::mr::{AccessFlags, CommitKind, MemoryHandle};
 use dta_rdma::nic::{NicCounters, RxOutcome};
@@ -146,6 +146,20 @@ impl DartCollector {
     /// NIC writes.
     pub fn query(&self, key: &[u8]) -> QueryOutcome {
         self.with_view(|view| view.query(key))
+    }
+
+    /// Query a key under `policy`, handing each slot probe to `trace`:
+    /// the store's one query implementation
+    /// ([`dta_core::store::StoreView::query_traced`]) over the live
+    /// region, which [`DartCollector::query`] and
+    /// [`DartCollector::query_explain`] also run.
+    pub(crate) fn query_traced<T: ProbeTrace>(
+        &self,
+        key: &[u8],
+        policy: ReturnPolicy,
+        trace: &mut T,
+    ) -> (QueryOutcome, DecisionReason) {
+        self.with_view(|view| view.query_traced(key, policy, trace))
     }
 
     /// Query a key under `policy`, returning the full §3.2 trace — which

@@ -295,7 +295,10 @@ pub enum FailoverTarget {
         target: u32,
     },
     /// Every collector is dead — nowhere to write.
-    NoneLive,
+    NoneLive {
+        /// The key's primary, carried so callers need not hash again.
+        primary: u32,
+    },
 }
 
 impl FailoverTarget {
@@ -304,7 +307,7 @@ impl FailoverTarget {
         match *self {
             FailoverTarget::Primary(id) => Some(id),
             FailoverTarget::Failover { target, .. } => Some(target),
-            FailoverTarget::NoneLive => None,
+            FailoverTarget::NoneLive { .. } => None,
         }
     }
 }
@@ -333,7 +336,7 @@ pub fn failover_collector(
     }
     let live = mask.live_count();
     if live == 0 {
-        return FailoverTarget::NoneLive;
+        return FailoverTarget::NoneLive { primary };
     }
     let rank = mapping.slot(key, FAILOVER_DOMAIN, u64::from(live)) as u32;
     let target = mask
@@ -410,7 +413,7 @@ impl<M: AddressMapping> AddressMapping for FailoverMapping<M> {
             FailoverTarget::Primary(id) | FailoverTarget::Failover { target: id, .. } => id,
             // With nothing live there is no meaningful answer; fall back
             // to the primary so callers at least stay deterministic.
-            FailoverTarget::NoneLive => self.inner.collector(key, self.mask.total()),
+            FailoverTarget::NoneLive { primary } => primary,
         }
     }
 
@@ -668,7 +671,7 @@ mod tests {
                         assert_ne!(target, 3, "failover must pick a survivor");
                         assert!(mask.is_live(target));
                     }
-                    FailoverTarget::NoneLive => panic!("survivors exist"),
+                    FailoverTarget::NoneLive { .. } => panic!("survivors exist"),
                 }
             }
         }
@@ -732,7 +735,12 @@ mod tests {
     fn failover_none_live() {
         let m = Mix64Mapping::new(0);
         let mask = LivenessMask::from_bits(0, 3);
-        assert_eq!(failover_collector(&m, b"k", mask), FailoverTarget::NoneLive);
+        assert_eq!(
+            failover_collector(&m, b"k", mask),
+            FailoverTarget::NoneLive {
+                primary: m.collector(b"k", 3)
+            }
+        );
         assert_eq!(failover_collector(&m, b"k", mask).write_target(), None);
     }
 

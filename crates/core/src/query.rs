@@ -142,20 +142,7 @@ pub fn decide(matches: &[&[u8]], policy: ReturnPolicy) -> QueryOutcome {
 
 /// Apply a return policy and say why it answered or abstained.
 pub fn decide_explain(matches: &[&[u8]], policy: ReturnPolicy) -> (QueryOutcome, DecisionReason) {
-    decide_matches(matches.iter().copied(), policy)
-}
-
-/// [`decide_explain`] over any re-iterable sequence of matching values,
-/// so a store can decide straight from slot memory without collecting
-/// the matches into a buffer first.
-pub(crate) fn decide_matches<'a, I>(
-    matches: I,
-    policy: ReturnPolicy,
-) -> (QueryOutcome, DecisionReason)
-where
-    I: Iterator<Item = &'a [u8]> + Clone,
-{
-    let Some(first) = matches.clone().next() else {
+    let Some(&first) = matches.first() else {
         return (QueryOutcome::Empty, DecisionReason::NoSlotMatched);
     };
     let votes = |count: usize| count.min(u8::MAX as usize) as u8;
@@ -165,11 +152,11 @@ where
             DecisionReason::Answered { votes: 1 },
         ),
         ReturnPolicy::UniqueValue => {
-            if matches.clone().all(|v| v == first) {
+            if matches.iter().all(|&v| v == first) {
                 (
                     QueryOutcome::Answer(first.to_vec()),
                     DecisionReason::Answered {
-                        votes: votes(matches.count()),
+                        votes: votes(matches.len()),
                     },
                 )
             } else {
@@ -177,7 +164,7 @@ where
             }
         }
         ReturnPolicy::Plurality => {
-            let (winner, count, tied) = plurality(first, matches);
+            let (winner, count, tied) = plurality(matches);
             if tied || count == 0 {
                 (QueryOutcome::Empty, DecisionReason::PluralityTie)
             } else {
@@ -191,7 +178,7 @@ where
         }
         ReturnPolicy::Consensus(k) => {
             let k = usize::from(k.max(2));
-            let (winner, count, tied) = plurality(first, matches);
+            let (winner, count, tied) = plurality(matches);
             if !tied && count >= k {
                 (
                     QueryOutcome::Answer(winner.to_vec()),
@@ -214,22 +201,19 @@ where
     }
 }
 
-/// Find the most frequent value among `matches` (whose first element is
-/// `first`); returns `(value, count, tie)`.
-fn plurality<'a, I>(first: &'a [u8], matches: I) -> (&'a [u8], usize, bool)
-where
-    I: Iterator<Item = &'a [u8]> + Clone,
-{
-    let mut best = first;
+/// Find the most frequent value among the non-empty `matches`;
+/// returns `(value, count, tie)`.
+fn plurality<'a>(matches: &[&'a [u8]]) -> (&'a [u8], usize, bool) {
+    let mut best = matches[0];
     let mut best_count = 0usize;
     let mut tie = false;
     // N is tiny (≤ 4 in practice); quadratic counting beats hashing.
-    for (i, candidate) in matches.clone().enumerate() {
+    for (i, &candidate) in matches.iter().enumerate() {
         // Count only the first occurrence of each distinct value.
-        if matches.clone().take(i).any(|v| v == candidate) {
+        if matches[..i].contains(&candidate) {
             continue;
         }
-        let count = matches.clone().filter(|&v| v == candidate).count();
+        let count = matches.iter().filter(|&&v| v == candidate).count();
         match count.cmp(&best_count) {
             core::cmp::Ordering::Greater => {
                 best = candidate;

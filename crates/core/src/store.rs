@@ -12,7 +12,7 @@ use crate::hash::AddressMapping;
 use crate::primitive::{
     append_encode_entry, append_newest_seq, append_scan, increment_decode, PrimitiveSpec,
 };
-use crate::query::{decide_matches, DecisionReason, QueryOutcome, ReturnPolicy};
+use crate::query::{decide_explain, DecisionReason, QueryOutcome, ReturnPolicy};
 
 /// What one slot probe of a query saw (one of the `N` copies).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -50,6 +50,27 @@ impl StoreExplain {
     /// Number of probes that found an occupied slot.
     pub fn occupied(&self) -> usize {
         self.probes.iter().filter(|p| p.occupied).count()
+    }
+}
+
+/// Where one store query's per-slot trace goes, probe by probe.
+/// [`StoreView::query_traced`] is generic over it: `()` discards every
+/// probe, so [`StoreView::query`] compiles to a read with no trace at
+/// all, and `Vec<SlotProbe>` keeps them for
+/// [`StoreView::query_explain`].
+pub trait ProbeTrace {
+    /// One slot was probed.
+    fn probe(&mut self, probe: SlotProbe);
+}
+
+impl ProbeTrace for () {
+    #[inline]
+    fn probe(&mut self, _probe: SlotProbe) {}
+}
+
+impl ProbeTrace for Vec<SlotProbe> {
+    fn probe(&mut self, probe: SlotProbe) {
+        self.push(probe);
     }
 }
 
@@ -425,27 +446,6 @@ impl<'a> StoreView<'a> {
         })
     }
 
-    /// Read the `N` candidate slots for `key` and keep checksum matches
-    /// (Key-Write slot semantics; the other primitives answer through
-    /// [`StoreView::query_explain`]).
-    pub fn matching_values(&self, key: &[u8]) -> Vec<&'a [u8]> {
-        let layout = self.config.layout;
-        let expected = layout.checksum.truncate(self.mapping.key_checksum(key));
-        let slot_len = layout.slot_len();
-        let mut matches = Vec::with_capacity(usize::from(self.config.copies));
-        for copy in 0..self.config.copies {
-            let slot = self.mapping.slot(key, copy, self.config.slots);
-            let start = slot as usize * slot_len;
-            let slot_bytes = &self.memory[start..start + slot_len];
-            if let Ok((stored, value)) = layout.decode(slot_bytes) {
-                if stored == expected {
-                    matches.push(value);
-                }
-            }
-        }
-        matches
-    }
-
     /// The raw bytes of one entry slot.
     pub fn entry_bytes(&self, slot: u64) -> Result<&'a [u8], DartError> {
         if slot >= self.config.slots {
@@ -516,16 +516,30 @@ impl<'a> StoreView<'a> {
         Ok((slot, word))
     }
 
-    /// Query under the configuration's default policy.
-    ///
-    /// The plain query *is* the explain path minus the trace — the two
-    /// can never disagree, whatever the primitive.
+    /// Query under the configuration's default policy, recording no
+    /// trace.
     pub fn query(&self, key: &[u8]) -> QueryOutcome {
-        self.query_explain(key, self.config.policy).outcome
+        self.query_traced(key, self.config.policy, &mut ()).0
     }
 
     /// Query `key` and trace every slot probed plus the policy's
     /// reasoning — the read-side half of the query-explain API.
+    pub fn query_explain(&self, key: &[u8], policy: ReturnPolicy) -> StoreExplain {
+        let mut probes = Vec::new();
+        let (outcome, reason) = self.query_traced(key, policy, &mut probes);
+        StoreExplain {
+            probes,
+            policy,
+            reason,
+            outcome,
+        }
+    }
+
+    /// The query implementation: read `key`'s slots, hand each probe to
+    /// `trace` as it is made, and decide under `policy`.
+    /// [`StoreView::query`] and [`StoreView::query_explain`] are this
+    /// function with a no-op and a recording trace, so the two can never
+    /// disagree, whatever the primitive.
     ///
     /// The probe/decision shape is identical for all three primitives,
     /// so the cluster's failover routing and the obs registry consume
@@ -537,60 +551,76 @@ impl<'a> StoreView<'a> {
     /// * Key-Increment — one probe per copy; the outcome is the 8-byte
     ///   big-endian *minimum* over non-zero copies (conservative under
     ///   partial loss), `votes` = copies agreeing with the minimum.
-    pub fn query_explain(&self, key: &[u8], policy: ReturnPolicy) -> StoreExplain {
+    pub fn query_traced<T: ProbeTrace>(
+        &self,
+        key: &[u8],
+        policy: ReturnPolicy,
+        trace: &mut T,
+    ) -> (QueryOutcome, DecisionReason) {
         match self.config.primitive {
-            PrimitiveSpec::KeyWrite => self.explain_key_write(key, policy),
-            PrimitiveSpec::Append { ring_capacity } => {
-                self.explain_append(key, policy, ring_capacity)
-            }
-            PrimitiveSpec::KeyIncrement => self.explain_increment(key, policy),
+            PrimitiveSpec::KeyWrite => self.query_key_write(key, policy, trace),
+            PrimitiveSpec::Append { ring_capacity } => self.query_append(key, ring_capacity, trace),
+            PrimitiveSpec::KeyIncrement => self.query_increment(key, trace),
         }
     }
 
-    fn explain_key_write(&self, key: &[u8], policy: ReturnPolicy) -> StoreExplain {
+    fn query_key_write<T: ProbeTrace>(
+        &self,
+        key: &[u8],
+        policy: ReturnPolicy,
+        trace: &mut T,
+    ) -> (QueryOutcome, DecisionReason) {
         let layout = self.config.layout;
         let expected = layout.checksum.truncate(self.mapping.key_checksum(key));
         let slot_len = layout.slot_len();
-        let slot_bytes = |slot: u64| {
-            let start = slot as usize * slot_len;
-            &self.memory[start..start + slot_len]
-        };
-        let mut probes = Vec::with_capacity(usize::from(self.config.copies));
+        // The matching values, in copy order, borrowed from slot memory:
+        // inline for the usual handful of copies, spilled to the heap
+        // only beyond `INLINE_COPIES`.
+        const INLINE_COPIES: usize = 8;
+        let mut inline: [&[u8]; INLINE_COPIES] = [&[]; INLINE_COPIES];
+        let mut spilled: Vec<&[u8]> = Vec::new();
+        let mut matched = 0usize;
         for copy in 0..self.config.copies {
             let slot = self.mapping.slot(key, copy, self.config.slots);
-            let bytes = slot_bytes(slot);
-            probes.push(SlotProbe {
+            let start = slot as usize * slot_len;
+            let bytes = &self.memory[start..start + slot_len];
+            let value = match layout.decode(bytes) {
+                Ok((stored, value)) if stored == expected => Some(value),
+                _ => None,
+            };
+            trace.probe(SlotProbe {
                 copy,
                 slot,
                 occupied: bytes.iter().any(|&b| b != 0),
-                checksum_matched: layout
-                    .decode(bytes)
-                    .is_ok_and(|(stored, _)| stored == expected),
+                checksum_matched: value.is_some(),
             });
+            if let Some(value) = value {
+                match inline.get_mut(matched) {
+                    Some(free) => *free = value,
+                    None => {
+                        if spilled.is_empty() {
+                            spilled.extend_from_slice(&inline);
+                        }
+                        spilled.push(value);
+                    }
+                }
+                matched += 1;
+            }
         }
-        // The policy reads the matching values straight from slot
-        // memory, in copy order.
-        let matches = probes.iter().filter(|p| p.checksum_matched).map(|p| {
-            layout
-                .decode(slot_bytes(p.slot))
-                .expect("decoded when probed")
-                .1
-        });
-        let (outcome, reason) = decide_matches(matches, policy);
-        StoreExplain {
-            probes,
-            policy,
-            reason,
-            outcome,
-        }
+        let matches = if matched <= INLINE_COPIES {
+            &inline[..matched]
+        } else {
+            &spilled[..]
+        };
+        decide_explain(matches, policy)
     }
 
-    fn explain_append(
+    fn query_append<T: ProbeTrace>(
         &self,
         listkey: &[u8],
-        policy: ReturnPolicy,
         ring_capacity: u64,
-    ) -> StoreExplain {
+        trace: &mut T,
+    ) -> (QueryOutcome, DecisionReason) {
         let entry_len = self.config.entry_len();
         let rings = self.config.rings();
         let ring = self.mapping.slot(listkey, 0, rings);
@@ -599,17 +629,15 @@ impl<'a> StoreView<'a> {
         let ring_bytes = &self.memory[start..start + ring_capacity as usize * entry_len];
         let want = self.mapping.key_checksum(listkey);
         let scan = append_scan(&self.config.layout, ring_bytes, want, ring_capacity);
-        let probes = scan
-            .slots
-            .iter()
-            .map(|s| SlotProbe {
+        for s in &scan.slots {
+            trace.probe(SlotProbe {
                 copy: 0,
                 slot: base + s.position,
                 occupied: s.occupied,
                 checksum_matched: s.matched,
-            })
-            .collect();
-        let (outcome, reason) = if scan.window.is_empty() {
+            });
+        }
+        if scan.window.is_empty() {
             (QueryOutcome::Empty, DecisionReason::NoSlotMatched)
         } else {
             let votes = scan.window.len().min(usize::from(u8::MAX)) as u8;
@@ -617,18 +645,15 @@ impl<'a> StoreView<'a> {
                 QueryOutcome::Answer(scan.window.concat()),
                 DecisionReason::Answered { votes },
             )
-        };
-        StoreExplain {
-            probes,
-            policy,
-            reason,
-            outcome,
         }
     }
 
-    fn explain_increment(&self, key: &[u8], policy: ReturnPolicy) -> StoreExplain {
+    fn query_increment<T: ProbeTrace>(
+        &self,
+        key: &[u8],
+        trace: &mut T,
+    ) -> (QueryOutcome, DecisionReason) {
         let entry_len = self.config.entry_len();
-        let mut probes = Vec::with_capacity(usize::from(self.config.copies));
         // The smallest non-zero copy and how many copies hold it.
         let mut minimum: Option<(u64, usize)> = None;
         for copy in 0..self.config.copies {
@@ -640,7 +665,7 @@ impl<'a> StoreView<'a> {
                     .expect("8-byte counter word"),
             );
             let occupied = word != 0;
-            probes.push(SlotProbe {
+            trace.probe(SlotProbe {
                 copy,
                 slot,
                 occupied,
@@ -654,7 +679,7 @@ impl<'a> StoreView<'a> {
                 };
             }
         }
-        let (outcome, reason) = match minimum {
+        match minimum {
             None => (QueryOutcome::Empty, DecisionReason::NoSlotMatched),
             Some((minimum, votes)) => (
                 QueryOutcome::Answer(minimum.to_be_bytes().to_vec()),
@@ -662,12 +687,6 @@ impl<'a> StoreView<'a> {
                     votes: votes.min(usize::from(u8::MAX)) as u8,
                 },
             ),
-        };
-        StoreExplain {
-            probes,
-            policy,
-            reason,
-            outcome,
         }
     }
 }

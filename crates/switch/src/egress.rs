@@ -468,7 +468,7 @@ impl DartEgress {
                 }
                 Ok(target)
             }
-            FailoverTarget::NoneLive => {
+            FailoverTarget::NoneLive { .. } => {
                 self.counters.no_live_collector += 1;
                 if let Some(o) = &self.obs {
                     o.no_live_collector.inc();

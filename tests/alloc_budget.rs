@@ -15,16 +15,20 @@
 //!   bytes and report list shared by its `N` frames;
 //! * a delivered WRITE or FETCH_ADD: none (zero-copy parse, DMA in
 //!   place, the RC ACK described rather than serialized);
-//! * a point query on a healthy cluster: at most 4 — the candidate list,
-//!   the probe trace, and the answer in the trace and in the outcome;
+//! * a Key-Write or Key-Increment point query (`try_query`, which
+//!   records no trace): the answer's bytes and nothing else — 1 for an
+//!   answer, including one read from the primary behind a failover
+//!   location, 0 for an empty return or an unreachable collector;
 //! * a data packet crossing five INT hops: none (the stack is inline).
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use direct_telemetry_access::collector::CollectorCluster;
+use direct_telemetry_access::collector::{
+    CollectorCluster, CollectorHealth, QueryError, QueryRouting,
+};
 use direct_telemetry_access::core::config::DartConfig;
-use direct_telemetry_access::core::hash::MappingKind;
+use direct_telemetry_access::core::hash::{LivenessMask, MappingKind};
 use direct_telemetry_access::core::primitive::increment_encode;
 use direct_telemetry_access::core::query::QueryOutcome;
 use direct_telemetry_access::core::PrimitiveSpec;
@@ -185,10 +189,58 @@ fn key_write_report_path_stays_within_budget() {
         let outcome = outcome.unwrap();
         if i < flows {
             assert!(outcome.is_answer(), "flow {i} unanswered");
+            assert!(allocs <= 1, "answered query {i}: {allocs} allocations");
         } else {
             assert_eq!(outcome, QueryOutcome::Empty);
+            assert_eq!(allocs, 0, "empty query {i} allocated");
         }
-        assert!(allocs <= 4, "query {i}: {allocs} allocations");
+    }
+    failover_and_unreachable_queries_within_budget(&mut cluster, flows);
+}
+
+/// Queries of reported flows `0..flows` while one collector is marked
+/// dead, and while one is down but still marked live: a failover read
+/// that the primary answers costs the answer's bytes, one the failover
+/// location leaves empty or that reaches no collector costs nothing.
+fn failover_and_unreachable_queries_within_budget(cluster: &mut CollectorCluster, flows: u32) {
+    const VICTIM: u32 = 1;
+    let keys: Vec<_> = (0..flows)
+        .map(|i| flow(i).to_bytes())
+        .filter(|key| cluster.collector_of(key) == VICTIM)
+        .collect();
+    assert!(!keys.is_empty(), "no flow hashed to collector {VICTIM}");
+
+    // Marked dead but still reachable: the failover target holds
+    // nothing for these keys, the primary behind it answers.
+    let mut mask = LivenessMask::all_live(4);
+    mask.set_live(VICTIM, false);
+    cluster.set_liveness_mask(mask);
+    for key in &keys {
+        let (outcome, allocs) = allocs_during(|| cluster.try_query(key));
+        assert!(outcome.unwrap().is_answer(), "primary behind failover");
+        assert!(allocs <= 1, "failover read: {allocs} allocations");
+        let explain = cluster.query_explain(key);
+        assert!(matches!(explain.routing, QueryRouting::Failover { .. }));
+        assert_eq!(explain.answered_by, Some(VICTIM));
+    }
+
+    // Down as well: the failover target is the only reachable location.
+    cluster.set_health(VICTIM, CollectorHealth::Crashed);
+    for key in &keys {
+        let (outcome, allocs) = allocs_during(|| cluster.try_query(key));
+        assert_eq!(outcome, Ok(QueryOutcome::Empty));
+        assert_eq!(allocs, 0, "empty failover read allocated");
+    }
+
+    // Down but still marked live: the primary is the only location.
+    cluster.set_liveness_mask(LivenessMask::all_live(4));
+    for key in &keys {
+        let (outcome, allocs) = allocs_during(|| cluster.try_query(key));
+        assert_eq!(
+            outcome,
+            Err(QueryError::CollectorUnreachable { collector: VICTIM })
+        );
+        assert_eq!(allocs, 0, "unreachable query allocated");
     }
 }
 
@@ -212,12 +264,20 @@ fn fetch_add_delivery_allocates_nothing() {
         }
     }
     assert_eq!(cluster.total_atomics(), 200);
-    let (outcome, allocs) = allocs_during(|| cluster.try_query(&flow(7).to_bytes()));
-    assert_eq!(
-        outcome.unwrap(),
-        QueryOutcome::Answer(1u64.to_be_bytes().to_vec())
-    );
-    assert!(allocs <= 4, "{allocs} allocations for a counter query");
+    for i in 0..150u32 {
+        let (outcome, allocs) = allocs_during(|| cluster.try_query(&flow(i).to_bytes()));
+        if i < 100 {
+            assert_eq!(
+                outcome.unwrap(),
+                QueryOutcome::Answer(1u64.to_be_bytes().to_vec())
+            );
+            assert!(allocs <= 1, "counter query {i}: {allocs} allocations");
+        } else {
+            assert_eq!(outcome.unwrap(), QueryOutcome::Empty);
+            assert_eq!(allocs, 0, "empty counter query {i} allocated");
+        }
+    }
+    failover_and_unreachable_queries_within_budget(&mut cluster, 100);
 }
 
 #[test]

@@ -1,14 +1,20 @@
 //! Cross-layer metric identities: the observability registry, the NIC's
 //! own counters, the event ring, and the `SimReport` tallies must all
 //! tell the same story — and query-explain must classify forced empty
-//! returns and forced return errors exactly as §4 predicts.
+//! returns and forced return errors exactly as §4 predicts, while
+//! emitting exactly the events and counts of the untraced query.
 
-use direct_telemetry_access::collector::CollectorCluster;
+use direct_telemetry_access::collector::{
+    CollectorCluster, CollectorHealth, QueryRouting, SweepConfig,
+};
 use direct_telemetry_access::core::config::DartConfig;
 use direct_telemetry_access::core::hash::{AddressMapping, CrcMapping, MappingKind};
 use direct_telemetry_access::core::query::{classify, QueryClass, QueryOutcome, ReturnPolicy};
 use direct_telemetry_access::core::PrimitiveSpec;
 use direct_telemetry_access::obs::{EventKind, Obs};
+use direct_telemetry_access::switch::control_plane::ControlPlane;
+use direct_telemetry_access::switch::egress::{DartEgress, EgressConfig};
+use direct_telemetry_access::switch::SwitchIdentity;
 use direct_telemetry_access::topology::sim::{FatTreeSim, SimConfig};
 use direct_telemetry_access::wire::{ethernet, ipv4};
 
@@ -310,4 +316,140 @@ fn explain_outcomes_tally_with_plain_queries() {
     }
     assert_eq!(plain_tally, explain_tally);
     assert_eq!(plain_tally.iter().sum::<u64>(), keys.len() as u64);
+}
+
+/// The cluster's query counters, answered / empty / unreachable.
+fn query_counters(obs: &Obs) -> [u64; 3] {
+    ["answered", "empty", "unreachable"].map(|k| {
+        obs.registry()
+            .counter_value(&format!("dta_cluster_queries_{k}_total"))
+            .unwrap()
+    })
+}
+
+/// What one query left behind in an enabled `Obs`: its lifecycle events
+/// (probes and decisions, reason names included) and its query-counter
+/// deltas.
+fn observed<T>(obs: &Obs, query: impl FnOnce() -> T) -> (T, Vec<EventKind>, [u64; 3]) {
+    obs.ring().clear();
+    let before = query_counters(obs);
+    let out = query();
+    let after = query_counters(obs);
+    let events = obs.ring().snapshot().into_iter().map(|e| e.kind).collect();
+    (out, events, [0, 1, 2].map(|i| after[i] - before[i]))
+}
+
+#[test]
+fn untraced_queries_emit_what_explain_emits() {
+    const COLLECTORS: u32 = 3;
+    const VICTIM: u32 = 0;
+    let config = DartConfig::builder()
+        .slots(1024)
+        .copies(2)
+        .value_len(12)
+        .collectors(COLLECTORS)
+        .mapping(MappingKind::Crc)
+        .build()
+        .unwrap();
+    let policy = config.policy;
+    let layout = config.layout;
+    let obs = Obs::with_capacity(1 << 12);
+    let mut cluster = CollectorCluster::new(config).unwrap();
+    cluster.attach_obs(&obs);
+    let mut egress = DartEgress::new(
+        SwitchIdentity::derived(1),
+        EgressConfig {
+            copies: 2,
+            slots: 1024,
+            layout,
+            collectors: COLLECTORS,
+            udp_src_port: 49152,
+            primitive: PrimitiveSpec::KeyWrite,
+        },
+        7,
+    )
+    .unwrap();
+    let directory = cluster.directory_for_switch();
+    ControlPlane::new()
+        .install_directory(&mut egress, &directory)
+        .unwrap();
+    let keys: Vec<Vec<u8>> = (0..48)
+        .map(|i| format!("obs-key-{i}").into_bytes())
+        .collect();
+    let write_all = |egress: &mut DartEgress, cluster: &mut CollectorCluster, byte: u8| {
+        for key in &keys {
+            for report in egress.craft(key, &[byte; 12]).unwrap() {
+                cluster.deliver(&report.frame);
+            }
+        }
+    };
+
+    // Which arms of the query path the phases below reached.
+    let (mut primary, mut failover, mut unreachable, mut restored) = (0, 0, 0, 0);
+    let mut check_all = |cluster: &CollectorCluster| {
+        for key in &keys {
+            let (plain, plain_events, plain_counts) = observed(&obs, || cluster.try_query(key));
+            let (explain, explain_events, explain_counts) =
+                observed(&obs, || cluster.explain(key, policy));
+            assert_eq!(plain, explain.outcome, "outcomes diverged");
+            assert_eq!(plain_events, explain_events, "events diverged");
+            assert_eq!(plain_counts, explain_counts, "counter deltas diverged");
+            assert_eq!(plain_counts.iter().sum::<u64>(), 1);
+            match (explain.routing, explain.answered_by, &explain.outcome) {
+                (QueryRouting::Primary(_), Some(_), _) => primary += 1,
+                (QueryRouting::Failover { target, .. }, Some(by), _) if by == target => {
+                    failover += 1
+                }
+                (_, _, Err(_)) => unreachable += 1,
+                _ => {}
+            }
+            restored += plain_events
+                .iter()
+                .filter(|e| {
+                    matches!(
+                        e,
+                        EventKind::QueryDecision {
+                            reason: "rereplicated_copy",
+                            ..
+                        }
+                    )
+                })
+                .count();
+        }
+    };
+
+    // Healthy: every key reads from its primary.
+    write_all(&mut egress, &mut cluster, 1);
+    check_all(&cluster);
+
+    // The victim is down but not yet marked dead: its keys are
+    // unreachable.
+    cluster.set_health(VICTIM, CollectorHealth::Crashed);
+    check_all(&cluster);
+
+    // Marked dead: new writes fail over, and reads follow them.
+    egress.set_collector_liveness(VICTIM, false).unwrap();
+    let outage_mask = egress.liveness_mask();
+    cluster.set_liveness_mask(outage_mask);
+    write_all(&mut egress, &mut cluster, 2);
+    check_all(&cluster);
+
+    // Recovered and swept: restored keys answer as re-replicated copies.
+    cluster.recover(VICTIM);
+    egress.set_collector_liveness(VICTIM, true).unwrap();
+    cluster.set_liveness_mask(egress.liveness_mask());
+    let records = egress.drain_failover_records(VICTIM);
+    cluster.schedule_rerepl(VICTIM, outage_mask, records, &[], SweepConfig::default(), 0);
+    let mut now = 0;
+    while cluster.sweep_active(VICTIM) {
+        now += 1;
+        assert!(now < 10_000, "sweep failed to converge");
+        cluster.rerepl_tick(now);
+    }
+    check_all(&cluster);
+
+    assert!(primary > 0, "no primary read");
+    assert!(failover > 0, "no failover read");
+    assert!(unreachable > 0, "no unreachable query");
+    assert!(restored > 0, "no rereplicated_copy decision");
 }

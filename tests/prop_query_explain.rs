@@ -2,14 +2,15 @@
 //! trace can never disagree — on the answer, or on the reason given for
 //! it — no matter what store the fabric built.
 //!
-//! `CollectorCluster::explain` is the one query implementation;
-//! `try_query` and `query_explain` are default-policy wrappers over it,
-//! so this test is the tripwire that keeps any future "fast path" from
-//! drifting: random report streams through the real egress → lossy
-//! link → NIC pipeline, random collector faults, every return policy,
-//! all three translation primitives — and for every key the wrappers
-//! must return exactly what `explain` returns while the narrated
-//! [`DecisionReason`] stays coherent with the outcome.
+//! The cluster has one query implementation, generic over its trace:
+//! `try_query` runs it with a no-op trace, `explain` and `query_explain`
+//! with a recording one, so this test is the tripwire that keeps the
+//! trace-free path from drifting: random report streams through the
+//! real egress → lossy link → NIC pipeline, random collector faults,
+//! every return policy, all three translation primitives — and for
+//! every key the default-policy entry points must return exactly what
+//! `explain` returns while the narrated [`DecisionReason`] stays
+//! coherent with the outcome.
 
 use direct_telemetry_access::collector::{CollectorCluster, CollectorHealth, SweepConfig};
 use direct_telemetry_access::core::config::DartConfig;
