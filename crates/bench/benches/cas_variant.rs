@@ -4,10 +4,10 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
 use std::hint::black_box;
 
-use dta_core::cas::{average_queryability, key_bytes, synthetic_value};
+use dta_bench::storesim::{run, StoreSimParams};
+use dta_core::cas::{key_bytes, synthetic_value};
 use dta_core::config::{DartConfig, WriteStrategy};
 use dta_core::hash::MappingKind;
-use dta_core::query::ReturnPolicy;
 use dta_core::store::DartStore;
 
 fn bench_insert_strategies(c: &mut Criterion) {
@@ -45,22 +45,21 @@ fn bench_insert_strategies(c: &mut Criterion) {
 fn bench_comparison_kernel(c: &mut Criterion) {
     c.bench_function("cas/comparison_alpha1", |b| {
         b.iter(|| {
-            let plain = average_queryability(
-                WriteStrategy::AllSlots,
-                1 << 12,
-                1 << 12,
-                ReturnPolicy::Plurality,
-                5,
-            )
-            .unwrap();
-            let cas = average_queryability(
-                WriteStrategy::WriteThenCas,
-                1 << 12,
-                1 << 12,
-                ReturnPolicy::Plurality,
-                5,
-            )
-            .unwrap();
+            let sim = |strategy| {
+                run(
+                    StoreSimParams {
+                        slots: 1 << 12,
+                        keys: 1 << 12,
+                        copies: 2,
+                        strategy,
+                        seed: 5,
+                        ..StoreSimParams::default()
+                    },
+                    1,
+                )
+            };
+            let plain = sim(WriteStrategy::AllSlots);
+            let cas = sim(WriteStrategy::WriteThenCas);
             black_box((plain, cas))
         });
     });

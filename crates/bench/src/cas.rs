@@ -3,11 +3,10 @@
 //! Sweeps the load factor for both strategies on a fresh table (the
 //! setting §7 describes) and reports the queryability difference.
 
-use dta_core::cas::average_queryability;
 use dta_core::config::WriteStrategy;
-use dta_core::query::ReturnPolicy;
 
 use crate::report::{pct, table};
+use crate::storesim::{run, StoreSimParams};
 use crate::Scale;
 
 /// One comparison point.
@@ -27,26 +26,24 @@ pub fn run_cas(scale: Scale, seed: u64) -> Vec<CasPoint> {
     let mut points = Vec::new();
     for &alpha in &[0.25f64, 0.5, 0.75, 1.0, 1.5, 2.0, 3.0] {
         let keys = (alpha * slots as f64) as u64;
-        let plain = average_queryability(
-            WriteStrategy::AllSlots,
-            slots,
-            keys,
-            ReturnPolicy::Plurality,
-            seed,
-        )
-        .expect("valid parameters");
-        let cas = average_queryability(
-            WriteStrategy::WriteThenCas,
-            slots,
-            keys,
-            ReturnPolicy::Plurality,
-            seed,
-        )
-        .expect("valid parameters");
+        let success = |strategy| {
+            run(
+                StoreSimParams {
+                    slots,
+                    keys,
+                    copies: 2,
+                    strategy,
+                    seed,
+                    ..StoreSimParams::default()
+                },
+                1,
+            )
+            .success_rate()
+        };
         points.push(CasPoint {
             alpha,
-            plain: plain.success_rate(),
-            cas: cas.success_rate(),
+            plain: success(WriteStrategy::AllSlots),
+            cas: success(WriteStrategy::WriteThenCas),
         });
     }
     points

@@ -199,6 +199,47 @@ mod tests {
         assert_eq!(run(p, 5), run(p, 5));
     }
 
+    fn strategy_run(strategy: WriteStrategy, slots: u64, keys: u64, seed: u64) -> StoreSimResult {
+        run(
+            StoreSimParams {
+                slots,
+                keys,
+                copies: 2,
+                strategy,
+                seed,
+                ..StoreSimParams::default()
+            },
+            1,
+        )
+    }
+
+    #[test]
+    fn low_load_strategies_equivalent() {
+        // At α ≪ 1 both strategies answer essentially everything.
+        for strategy in [WriteStrategy::AllSlots, WriteStrategy::WriteThenCas] {
+            let r = strategy_run(strategy, 1 << 14, 256, 7);
+            assert!(
+                r.success_rate() > 0.99,
+                "{strategy:?}: {}",
+                r.success_rate()
+            );
+        }
+    }
+
+    #[test]
+    fn cas_improves_queryability_at_moderate_load() {
+        // The §7 claim: on a fresh table at α = 1 (N = 2, heavy slot
+        // pressure) the hybrid preserves more keys than double-overwrite.
+        let plain = strategy_run(WriteStrategy::AllSlots, 1 << 14, 1 << 14, 11);
+        let cas = strategy_run(WriteStrategy::WriteThenCas, 1 << 14, 1 << 14, 11);
+        assert!(
+            cas.success_rate() > plain.success_rate(),
+            "CAS {} should beat plain {}",
+            cas.success_rate(),
+            plain.success_rate()
+        );
+    }
+
     #[test]
     fn no_checksum_creates_errors_under_load() {
         let r = run(

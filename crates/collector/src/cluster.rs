@@ -19,7 +19,7 @@ use dta_core::config::DartConfig;
 use dta_core::hash::{
     failover_collector, AddressMapping, FailoverRecord, FailoverTarget, LivenessMask,
 };
-use dta_core::primitive::{append_encode_entry, append_newest_seq, append_scan, seq_newest};
+use dta_core::primitive::{append_encode_entry, append_newest_seq, append_window, seq_newest};
 use dta_core::query::{DecisionReason, QueryOutcome, ReturnPolicy};
 use dta_core::store::{ProbeTrace, SlotProbe, StoreExplain};
 use dta_core::{DartError, PrimitiveSpec};
@@ -1311,47 +1311,56 @@ impl CollectorCluster {
             }
             PrimitiveSpec::Append { ring_capacity } => {
                 let want = self.mapping.key_checksum(key);
-                let (ring, scan) = self.collectors[target as usize].with_view(|view| {
+                // Re-appended entries continue after the newest sequence
+                // the recovered primary's ring, the switch tail or an
+                // earlier reconciliation of this ring has reached.
+                let (ring, mem_newest) = self.collectors[primary as usize].with_view(|view| {
                     let ring = view.ring_index(key);
                     let bytes = view.ring_bytes(ring).expect("append primitive has rings");
-                    (ring, append_scan(&layout, bytes, want, ring_capacity))
+                    (ring, append_newest_seq(&layout, bytes))
                 });
-                scanned += scan.slots.len() as u64;
-                // Every matched entry at the target belongs to this
-                // listkey; all are retired once the window lands.
-                for slot_scan in scan.slots.iter().filter(|s| s.matched) {
-                    tombstones.push((
-                        target,
-                        target_ep.base_va + (ring * ring_capacity + slot_scan.position) * entry_len,
-                        entry_len as usize,
-                    ));
+                let mut base =
+                    seq_newest(mem_newest, switch_tails.get(&ring).copied().unwrap_or(0));
+                if let Some(&running) = reconciliations.get(&ring) {
+                    base = seq_newest(base, running);
                 }
-                if !scan.window.is_empty() {
-                    let mem_newest = self.collectors[primary as usize].with_view(|view| {
-                        let bytes = view.ring_bytes(ring).expect("same geometry");
-                        append_newest_seq(&layout, bytes)
+                let ring_va = |ep: &RemoteEndpoint, position: u64| {
+                    ep.base_va + (ring * ring_capacity + position) * entry_len
+                };
+                let appended = self.collectors[target as usize].with_view(|view| {
+                    let bytes = view.ring_bytes(ring).expect("same geometry");
+                    // Every matched entry at the target belongs to this
+                    // listkey; all are retired once the window lands.
+                    let window = append_window(&layout, bytes, want, ring_capacity, |p| {
+                        scanned += 1;
+                        if p.matched {
+                            tombstones.push((
+                                target,
+                                ring_va(&target_ep, p.position),
+                                entry_len as usize,
+                            ));
+                        }
                     });
-                    let mut base =
-                        seq_newest(mem_newest, switch_tails.get(&ring).copied().unwrap_or(0));
-                    if let Some(&running) = reconciliations.get(&ring) {
-                        base = seq_newest(base, running);
-                    }
-                    for (offset, value) in scan.window.iter().enumerate() {
-                        let seq = base.wrapping_add(offset as u32 + 1);
+                    let mut appended = 0u32;
+                    for value in window.values() {
+                        appended += 1;
+                        let seq = base.wrapping_add(appended);
                         let position = u64::from(seq.wrapping_sub(1)) % ring_capacity;
                         let mut payload = vec![0u8; entry_len as usize];
                         append_encode_entry(&layout, seq, want, value, &mut payload)
                             .expect("geometry validated at construction");
                         units.push(SweepUnit {
                             kind: UnitKind::Write {
-                                va: primary_ep.base_va
-                                    + (ring * ring_capacity + position) * entry_len,
+                                va: ring_va(&primary_ep, position),
                                 payload,
                             },
                             done: false,
                         });
                     }
-                    reconciliations.insert(ring, base.wrapping_add(scan.window.len() as u32));
+                    appended
+                });
+                if appended > 0 {
+                    reconciliations.insert(ring, base.wrapping_add(appended));
                 }
             }
             PrimitiveSpec::KeyIncrement => {

@@ -1,5 +1,5 @@
-//! The §7 write-then-compare-and-swap strategy, and tooling to compare
-//! strategies.
+//! The §7 write-then-compare-and-swap strategy, and the synthetic keys
+//! and values used to compare strategies.
 //!
 //! Standard DART issues `N` unconditional WRITEs per key. The paper's
 //! discussion section observes that RDMA also offers COMPARE_SWAP, and
@@ -11,51 +11,11 @@
 //! The intuition: under the hybrid, a new key never evicts another key's
 //! data from its *second* slot — second slots fill first-come-first-served
 //! — so older keys retain their redundancy longer. The cost is that late
-//! keys may end up with a single copy. [`average_queryability`] makes the
-//! comparison measurable; the `cas_variant` bench sweeps it across load
-//! factors.
-
-use crate::config::{DartConfig, WriteStrategy};
-use crate::error::DartError;
-use crate::query::{classify, QueryClass, ReturnPolicy};
-use crate::store::DartStore;
-
-/// Outcome counts of querying every inserted key once.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct QueryabilityReport {
-    /// Keys answered with the correct value.
-    pub correct: u64,
-    /// Keys with an empty return.
-    pub empty: u64,
-    /// Keys answered with a wrong value.
-    pub error: u64,
-}
-
-impl QueryabilityReport {
-    /// Total keys queried.
-    pub fn total(&self) -> u64 {
-        self.correct + self.empty + self.error
-    }
-
-    /// Fraction of keys answered correctly (the paper's "query success
-    /// rate").
-    pub fn success_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.correct as f64 / self.total() as f64
-        }
-    }
-
-    /// Fraction of keys answered incorrectly.
-    pub fn error_rate(&self) -> f64 {
-        if self.total() == 0 {
-            0.0
-        } else {
-            self.error as f64 / self.total() as f64
-        }
-    }
-}
+//! keys may end up with a single copy. The strategy itself is
+//! [`WriteStrategy::WriteThenCas`](crate::config::WriteStrategy), applied
+//! by `DartStore::insert`; this module holds the synthetic keys and values
+//! that `dta-bench`'s store simulator (and its `cas` sweep) insert and
+//! query back.
 
 /// Deterministic per-key value: 20 bytes derived from the key index.
 /// Distinct keys get distinct values so return errors are detectable.
@@ -68,42 +28,6 @@ pub fn synthetic_value(index: u64, value_len: usize) -> Vec<u8> {
     value
 }
 
-/// Insert `keys` distinct keys into a fresh store under `strategy`, then
-/// query every key once under `policy` and tally outcomes.
-///
-/// Keys are inserted in index order, so key 0 is the *oldest* at query
-/// time — exactly the §5.2 aging setup.
-pub fn average_queryability(
-    strategy: WriteStrategy,
-    slots: u64,
-    keys: u64,
-    policy: ReturnPolicy,
-    seed: u64,
-) -> Result<QueryabilityReport, DartError> {
-    let config = DartConfig::builder()
-        .slots(slots)
-        .copies(2)
-        .strategy(strategy)
-        .mapping(crate::hash::MappingKind::Mix64 { seed })
-        .policy(policy)
-        .build()?;
-    let value_len = config.layout.value_len;
-    let mut store = DartStore::new(config);
-    for i in 0..keys {
-        store.insert(&key_bytes(i), &synthetic_value(i, value_len))?;
-    }
-    let mut report = QueryabilityReport::default();
-    for i in 0..keys {
-        let outcome = store.query(&key_bytes(i));
-        match classify(&outcome, &synthetic_value(i, value_len)) {
-            QueryClass::Correct => report.correct += 1,
-            QueryClass::EmptyReturn => report.empty += 1,
-            QueryClass::ReturnError => report.error += 1,
-        }
-    }
-    Ok(report)
-}
-
 /// Canonical 8-byte key encoding for synthetic workloads.
 pub fn key_bytes(index: u64) -> [u8; 8] {
     index.to_le_bytes()
@@ -112,6 +36,8 @@ pub fn key_bytes(index: u64) -> [u8; 8] {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::{DartConfig, WriteStrategy};
+    use crate::store::DartStore;
 
     #[test]
     fn cas_skips_occupied_second_slots() {
@@ -130,72 +56,6 @@ mod tests {
         // Far beyond capacity: most second-copy CAS writes must have been
         // skipped because the slot was already occupied.
         assert!(store.stats().cas_skips > 100);
-    }
-
-    #[test]
-    fn low_load_strategies_equivalent() {
-        // At α ≪ 1 both strategies answer essentially everything.
-        let plain = average_queryability(
-            WriteStrategy::AllSlots,
-            1 << 14,
-            256,
-            ReturnPolicy::Plurality,
-            7,
-        )
-        .unwrap();
-        let cas = average_queryability(
-            WriteStrategy::WriteThenCas,
-            1 << 14,
-            256,
-            ReturnPolicy::Plurality,
-            7,
-        )
-        .unwrap();
-        assert!(plain.success_rate() > 0.99);
-        assert!(cas.success_rate() > 0.99);
-    }
-
-    #[test]
-    fn cas_improves_queryability_at_moderate_load() {
-        // The §7 claim: at a fresh table with moderate load the hybrid
-        // preserves more keys than double-overwrite.
-        let slots = 1 << 14;
-        let keys = slots; // α = 1 with N = 2 → heavy slot pressure
-        let plain = average_queryability(
-            WriteStrategy::AllSlots,
-            slots as u64,
-            keys as u64,
-            ReturnPolicy::Plurality,
-            11,
-        )
-        .unwrap();
-        let cas = average_queryability(
-            WriteStrategy::WriteThenCas,
-            slots as u64,
-            keys as u64,
-            ReturnPolicy::Plurality,
-            11,
-        )
-        .unwrap();
-        assert!(
-            cas.success_rate() > plain.success_rate(),
-            "CAS {} should beat plain {}",
-            cas.success_rate(),
-            plain.success_rate()
-        );
-    }
-
-    #[test]
-    fn report_arithmetic() {
-        let r = QueryabilityReport {
-            correct: 90,
-            empty: 8,
-            error: 2,
-        };
-        assert_eq!(r.total(), 100);
-        assert!((r.success_rate() - 0.9).abs() < 1e-12);
-        assert!((r.error_rate() - 0.02).abs() < 1e-12);
-        assert_eq!(QueryabilityReport::default().success_rate(), 0.0);
     }
 
     #[test]

@@ -366,66 +366,6 @@ pub struct FailoverRecord {
     pub key: Vec<u8>,
 }
 
-/// An [`AddressMapping`] wrapper that applies liveness-aware failover to
-/// collector selection while passing slot and checksum choices through
-/// untouched.
-///
-/// Useful when a component only speaks `AddressMapping` (e.g. a query
-/// engine) but should transparently follow the failover remap. The
-/// collector count passed to [`AddressMapping::collector`] is ignored in
-/// favour of the mask's total, which must match the deployment size.
-#[derive(Debug, Clone)]
-pub struct FailoverMapping<M> {
-    inner: M,
-    mask: LivenessMask,
-}
-
-impl<M: AddressMapping> FailoverMapping<M> {
-    /// Wrap `inner`, resolving collectors under `mask`.
-    pub fn new(inner: M, mask: LivenessMask) -> Self {
-        FailoverMapping { inner, mask }
-    }
-
-    /// Current liveness mask.
-    pub fn mask(&self) -> LivenessMask {
-        self.mask
-    }
-
-    /// Replace the liveness mask (e.g. after a control-plane update).
-    pub fn set_mask(&mut self, mask: LivenessMask) {
-        self.mask = mask;
-    }
-
-    /// The wrapped mapping.
-    pub fn inner(&self) -> &M {
-        &self.inner
-    }
-
-    /// Full failover resolution for `key` (primary and target identity).
-    pub fn target(&self, key: &[u8]) -> FailoverTarget {
-        failover_collector(&self.inner, key, self.mask)
-    }
-}
-
-impl<M: AddressMapping> AddressMapping for FailoverMapping<M> {
-    fn collector(&self, key: &[u8], _collectors: u32) -> u32 {
-        match self.target(key) {
-            FailoverTarget::Primary(id) | FailoverTarget::Failover { target: id, .. } => id,
-            // With nothing live there is no meaningful answer; fall back
-            // to the primary so callers at least stay deterministic.
-            FailoverTarget::NoneLive { primary } => primary,
-        }
-    }
-
-    fn slot(&self, key: &[u8], copy: u8, slots: u64) -> u64 {
-        self.inner.slot(key, copy, slots)
-    }
-
-    fn key_checksum(&self, key: &[u8]) -> u32 {
-        self.inner.key_checksum(key)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -742,29 +682,5 @@ mod tests {
             }
         );
         assert_eq!(failover_collector(&m, b"k", mask).write_target(), None);
-    }
-
-    #[test]
-    fn failover_mapping_wrapper_follows_mask() {
-        let mask = LivenessMask::all_live(4);
-        let mut wrapped = FailoverMapping::new(Mix64Mapping::new(5), mask);
-        let plain = Mix64Mapping::new(5);
-        for i in 0..100u32 {
-            let key = i.to_le_bytes();
-            // Healthy: identical to the plain mapping on every method.
-            assert_eq!(wrapped.collector(&key, 4), plain.collector(&key, 4));
-            assert_eq!(wrapped.slot(&key, 1, 512), plain.slot(&key, 1, 512));
-            assert_eq!(wrapped.key_checksum(&key), plain.key_checksum(&key));
-        }
-        let mut dead = mask;
-        dead.set_live(2, false);
-        wrapped.set_mask(dead);
-        assert_eq!(wrapped.mask(), dead);
-        for i in 0..200u32 {
-            let key = i.to_le_bytes();
-            assert_ne!(wrapped.collector(&key, 4), 2, "dead collector selected");
-            // Slots and checksums stay put — only collector choice moves.
-            assert_eq!(wrapped.slot(&key, 0, 512), plain.slot(&key, 0, 512));
-        }
     }
 }

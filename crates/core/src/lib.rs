@@ -7,8 +7,9 @@
 //!    a collector and, per redundant copy `i ∈ [0, N)`, to a memory slot;
 //! 2. each slot stores a `b`-bit *key checksum* next to the value
 //!    ([`dta_wire::dart::SlotLayout`]);
-//! 3. writers ([`writer`]) blindly overwrite their `N` slots — no reads,
-//!    no locks, no inter-switch coordination;
+//! 3. writers — the switch's `dta_switch::egress::DartEgress` and, in
+//!    simulation, [`DartStore::insert`] — blindly overwrite their `N`
+//!    slots: no reads, no locks, no inter-switch coordination;
 //! 4. readers ([`query`]) recompute the same mapping, fetch the `N` slots,
 //!    discard checksum mismatches and decide an answer under a
 //!    configurable *return policy* (§4 of the paper).
@@ -51,11 +52,9 @@ pub mod primitive;
 pub mod query;
 pub mod sketch;
 pub mod store;
-pub mod writer;
 
 pub use config::DartConfig;
 pub use error::DartError;
 pub use primitive::{PrimitiveKind, PrimitiveSpec};
 pub use query::{DecisionReason, QueryOutcome, ReturnPolicy};
 pub use store::{DartStore, SlotProbe, StoreExplain};
-pub use writer::ReportWriter;

@@ -163,7 +163,7 @@ impl PrimitiveSpec {
 /// means "never written", so freshly-zeroed rings read as empty. The
 /// sequence wraps over the full `u32` range; the single entry whose
 /// stored value lands on 0 per 2³² appends reads as a torn head and is
-/// dropped by [`append_scan`], which is exactly the wraparound-safe
+/// dropped by [`append_window`], which is exactly the wraparound-safe
 /// behaviour readers need anyway.
 pub fn append_encode_entry(
     layout: &SlotLayout,
@@ -208,12 +208,10 @@ pub fn append_decode_entry<'a>(
 /// One examined ring position (mirrors `SlotProbe` for the store's
 /// explain path).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct AppendSlotScan {
+pub struct AppendProbe {
     /// Position within the ring (0-based).
     pub position: u64,
-    /// Stored sequence number (0 = empty).
-    pub stored_seq: u32,
-    /// Whether the position held any entry.
+    /// Whether the position held any entry (stored seq ≠ 0).
     pub occupied: bool,
     /// Whether the entry's checksum matched the listkey *and* its
     /// sequence number was consistent with its position (torn or
@@ -221,20 +219,56 @@ pub struct AppendSlotScan {
     pub matched: bool,
 }
 
-/// The reconstructed state of one ring.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct AppendScan {
-    /// Every ring position, in position order.
-    pub slots: Vec<AppendSlotScan>,
-    /// The in-window entries, **oldest first** (each is one value of
-    /// `layout.value_len` bytes).
-    pub window: Vec<Vec<u8>>,
+/// The in-window entries of one append ring, borrowed from ring memory.
+/// Built by [`append_window`].
+#[derive(Debug, Clone, Copy)]
+pub struct AppendWindow<'a> {
+    layout: SlotLayout,
+    ring: &'a [u8],
+    want: u32,
+    capacity: u64,
+    /// Newest matched stored sequence number and its position.
+    newest: Option<(u32, u64)>,
+}
+
+impl<'a> AppendWindow<'a> {
+    /// Decode ring position `position` into `(stored_seq, matched, value)`.
+    fn entry(&self, position: u64) -> (u32, bool, &'a [u8]) {
+        let entry_len = APPEND_SEQ_LEN + self.layout.slot_len();
+        let start = position as usize * entry_len;
+        let (stored_seq, checksum, value) = append_decode_entry(&self.layout, &self.ring[start..])
+            .expect("ring sized to whole entries");
+        let in_position = u64::from(stored_seq.wrapping_sub(1)) % self.capacity == position;
+        let matched = stored_seq != 0 && checksum == self.want && in_position;
+        (stored_seq, matched, value)
+    }
+
+    /// Whether no entry of the listkey is in the window.
+    pub fn is_empty(&self) -> bool {
+        self.newest.is_none()
+    }
+
+    /// The in-window values, **oldest first** (each `layout.value_len`
+    /// bytes).
+    ///
+    /// Walks the ring once, starting just after the newest entry: in-window
+    /// entries sit at distinct positions `(seq − 1) mod capacity`, so ring
+    /// order from there is sequence order.
+    pub fn values(self) -> impl Iterator<Item = &'a [u8]> {
+        self.newest.into_iter().flat_map(move |(newest, at)| {
+            (1..=self.capacity).filter_map(move |step| {
+                let (seq, matched, value) = self.entry((at + step) % self.capacity);
+                (matched && u64::from(newest.wrapping_sub(seq)) < self.capacity).then_some(value)
+            })
+        })
+    }
 }
 
 /// Stateless wraparound-safe read of one append ring.
 ///
 /// `ring` must be exactly `ring_capacity * (APPEND_SEQ_LEN +
-/// layout.slot_len())` bytes. Entries are kept iff:
+/// layout.slot_len())` bytes. `probe` sees every position, in position
+/// order. Entries are kept iff:
 ///
 /// 1. they are occupied (stored seq ≠ 0),
 /// 2. their stored checksum matches `want_checksum` (listkey ring
@@ -245,57 +279,42 @@ pub struct AppendScan {
 /// 4. they lie within `capacity` of the newest surviving entry under
 ///    serial-number arithmetic (entries stranded a lap behind are torn
 ///    heads and dropped).
-pub fn append_scan(
+pub fn append_window<'a>(
     layout: &SlotLayout,
-    ring: &[u8],
+    ring: &'a [u8],
     want_checksum: u32,
     ring_capacity: u64,
-) -> AppendScan {
-    let entry_len = APPEND_SEQ_LEN + layout.slot_len();
-    debug_assert_eq!(ring.len(), ring_capacity as usize * entry_len);
-    let width = layout.checksum;
-    let want = width.truncate(want_checksum);
-
-    let mut slots = Vec::with_capacity(ring_capacity as usize);
-    let mut candidates: Vec<(u32, Vec<u8>)> = Vec::new();
+    mut probe: impl FnMut(AppendProbe),
+) -> AppendWindow<'a> {
+    debug_assert_eq!(
+        ring.len(),
+        ring_capacity as usize * (APPEND_SEQ_LEN + layout.slot_len())
+    );
+    let mut window = AppendWindow {
+        layout: *layout,
+        ring,
+        want: layout.checksum.truncate(want_checksum),
+        capacity: ring_capacity,
+        newest: None,
+    };
+    // Newest under serial arithmetic, seeded with the first match in
+    // position order: every other match is at most half the sequence
+    // space behind it.
     for position in 0..ring_capacity {
-        let start = position as usize * entry_len;
-        let (stored_seq, checksum, value) =
-            append_decode_entry(layout, &ring[start..]).expect("ring sized to whole entries");
-        let occupied = stored_seq != 0;
-        let logical = stored_seq.wrapping_sub(1);
-        let in_position = u64::from(logical) % ring_capacity == position;
-        let matched = occupied && checksum == want && in_position;
-        slots.push(AppendSlotScan {
+        let (seq, matched, _) = window.entry(position);
+        probe(AppendProbe {
             position,
-            stored_seq,
-            occupied,
+            occupied: seq != 0,
             matched,
         });
         if matched {
-            candidates.push((stored_seq, value.to_vec()));
-        }
-    }
-
-    // Newest under serial arithmetic: every other candidate is at most
-    // half the sequence space behind it.
-    let mut window = Vec::new();
-    if let Some(&(first, _)) = candidates.first() {
-        let mut newest = first;
-        for &(seq, _) in &candidates {
-            if seq.wrapping_sub(newest) < 1 << 31 {
-                newest = seq;
+            match window.newest {
+                Some((best, _)) if seq.wrapping_sub(best) >= 1 << 31 => {}
+                _ => window.newest = Some((seq, position)),
             }
         }
-        let mut kept: Vec<(u32, Vec<u8>)> = candidates
-            .into_iter()
-            .filter(|(seq, _)| u64::from(newest.wrapping_sub(*seq)) < ring_capacity)
-            .collect();
-        // Oldest first: largest distance-behind-newest first.
-        kept.sort_by_key(|(seq, _)| core::cmp::Reverse(newest.wrapping_sub(*seq)));
-        window = kept.into_iter().map(|(_, v)| v).collect();
     }
-    AppendScan { slots, window }
+    window
 }
 
 /// The newest stored sequence number present in a raw ring byte-slice,
@@ -379,6 +398,18 @@ mod tests {
         ring
     }
 
+    /// Every probe of one ring read, and its window values oldest first.
+    fn read(
+        layout: &SlotLayout,
+        ring: &[u8],
+        want: u32,
+        cap: u64,
+    ) -> (Vec<AppendProbe>, Vec<Vec<u8>>) {
+        let mut probes = Vec::new();
+        let window = append_window(layout, ring, want, cap, |p| probes.push(p));
+        (probes, window.values().map(<[u8]>::to_vec).collect())
+    }
+
     #[test]
     fn kinds_are_named_and_complete() {
         assert_eq!(PrimitiveKind::ALL.len(), 3);
@@ -445,25 +476,25 @@ mod tests {
                 (0, 5, b"eeeeeeee"),
             ],
         );
-        let scan = append_scan(&l, &ring, 0xFEED, 4);
+        let (probes, window) = read(&l, &ring, 0xFEED, 4);
         assert_eq!(
-            scan.window,
+            window,
             vec![
                 b"cccccccc".to_vec(),
                 b"dddddddd".to_vec(),
                 b"eeeeeeee".to_vec()
             ]
         );
-        assert_eq!(scan.slots.iter().filter(|s| s.occupied).count(), 3);
+        assert_eq!(probes.iter().filter(|s| s.occupied).count(), 3);
     }
 
     #[test]
     fn scan_drops_checksum_mismatches() {
         let l = layout();
         let ring = ring_with(&l, 4, &[(0, 1, b"aaaaaaaa"), (1, 2, b"bbbbbbbb")]);
-        let scan = append_scan(&l, &ring, 0xBEEF, 4);
-        assert!(scan.window.is_empty());
-        assert!(scan.slots.iter().all(|s| !s.matched || !s.occupied));
+        let (probes, window) = read(&l, &ring, 0xBEEF, 4);
+        assert!(window.is_empty());
+        assert!(probes.iter().all(|s| !s.matched || !s.occupied));
     }
 
     #[test]
@@ -471,9 +502,9 @@ mod tests {
         let l = layout();
         // Position 1 holds seq 7: (7-1) % 4 == 2 ≠ 1 → torn.
         let ring = ring_with(&l, 4, &[(0, 5, b"aaaaaaaa"), (1, 7, b"xxxxxxxx")]);
-        let scan = append_scan(&l, &ring, 0xFEED, 4);
-        assert_eq!(scan.window, vec![b"aaaaaaaa".to_vec()]);
-        assert!(!scan.slots[1].matched);
+        let (probes, window) = read(&l, &ring, 0xFEED, 4);
+        assert_eq!(window, vec![b"aaaaaaaa".to_vec()]);
+        assert!(!probes[1].matched);
     }
 
     #[test]
@@ -491,9 +522,9 @@ mod tests {
                 (0, 1, b"newest__"),
             ],
         );
-        let scan = append_scan(&l, &ring, 0xFEED, 4);
+        let (_, window) = read(&l, &ring, 0xFEED, 4);
         assert_eq!(
-            scan.window,
+            window,
             vec![
                 b"oldest__".to_vec(),
                 b"middle__".to_vec(),
@@ -509,8 +540,8 @@ mod tests {
         // from the previous lap ((4-1)%4 == 3, so it is in position but
         // more than capacity behind).
         let ring = ring_with(&l, 4, &[(1, 10, b"newest__"), (3, 4, b"stale___")]);
-        let scan = append_scan(&l, &ring, 0xFEED, 4);
-        assert_eq!(scan.window, vec![b"newest__".to_vec()]);
+        let (_, window) = read(&l, &ring, 0xFEED, 4);
+        assert_eq!(window, vec![b"newest__".to_vec()]);
     }
 
     #[test]

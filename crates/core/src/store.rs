@@ -10,7 +10,7 @@ use crate::config::{DartConfig, WriteStrategy};
 use crate::error::DartError;
 use crate::hash::AddressMapping;
 use crate::primitive::{
-    append_encode_entry, append_newest_seq, append_scan, increment_decode, PrimitiveSpec,
+    append_encode_entry, append_newest_seq, append_window, increment_decode, PrimitiveSpec,
 };
 use crate::query::{decide_explain, DecisionReason, QueryOutcome, ReturnPolicy};
 
@@ -628,24 +628,27 @@ impl<'a> StoreView<'a> {
         let start = base as usize * entry_len;
         let ring_bytes = &self.memory[start..start + ring_capacity as usize * entry_len];
         let want = self.mapping.key_checksum(listkey);
-        let scan = append_scan(&self.config.layout, ring_bytes, want, ring_capacity);
-        for s in &scan.slots {
+        let window = append_window(&self.config.layout, ring_bytes, want, ring_capacity, |p| {
             trace.probe(SlotProbe {
                 copy: 0,
-                slot: base + s.position,
-                occupied: s.occupied,
-                checksum_matched: s.matched,
-            });
+                slot: base + p.position,
+                occupied: p.occupied,
+                checksum_matched: p.matched,
+            })
+        });
+        if window.is_empty() {
+            return (QueryOutcome::Empty, DecisionReason::NoSlotMatched);
         }
-        if scan.window.is_empty() {
-            (QueryOutcome::Empty, DecisionReason::NoSlotMatched)
-        } else {
-            let votes = scan.window.len().min(usize::from(u8::MAX)) as u8;
-            (
-                QueryOutcome::Answer(scan.window.concat()),
-                DecisionReason::Answered { votes },
-            )
+        let entries = window.values().count();
+        let mut answer = Vec::with_capacity(entries * self.config.layout.value_len);
+        for value in window.values() {
+            answer.extend_from_slice(value);
         }
+        let votes = entries.min(usize::from(u8::MAX)) as u8;
+        (
+            QueryOutcome::Answer(answer),
+            DecisionReason::Answered { votes },
+        )
     }
 
     fn query_increment<T: ProbeTrace>(

@@ -32,7 +32,6 @@ pub mod flow_count;
 pub mod int_path;
 pub mod postcard;
 pub mod query_mirror;
-pub mod rich_path;
 pub mod trace;
 
 pub use event::{Backend, TelemetryRecord};

@@ -114,36 +114,6 @@ impl SlotLayout {
     }
 }
 
-/// An owned DART report: key checksum + value.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReportRepr {
-    /// The (untruncated) key checksum.
-    pub key_checksum: u32,
-    /// The telemetry value.
-    pub value: Vec<u8>,
-}
-
-impl ReportRepr {
-    /// Parse a slot under `layout`.
-    pub fn parse(layout: &SlotLayout, slot: &[u8]) -> Result<ReportRepr> {
-        let (key_checksum, value) = layout.decode(slot)?;
-        Ok(ReportRepr {
-            key_checksum,
-            value: value.to_vec(),
-        })
-    }
-
-    /// Emitted length under `layout`.
-    pub fn buffer_len(&self, layout: &SlotLayout) -> usize {
-        layout.slot_len()
-    }
-
-    /// Emit into `out` under `layout`.
-    pub fn emit(&self, layout: &SlotLayout, out: &mut [u8]) -> Result<()> {
-        layout.encode(self.key_checksum, &self.value, out)
-    }
-}
-
 /// Framing for the §7 native multi-write primitive.
 ///
 /// ```text
@@ -271,18 +241,6 @@ mod tests {
             Err(Error::Truncated)
         );
         assert_eq!(layout.decode(&short), Err(Error::Truncated));
-    }
-
-    #[test]
-    fn report_repr_roundtrip() {
-        let layout = SlotLayout::INT_PATH_TRACING;
-        let report = ReportRepr {
-            key_checksum: 0x0102_0304,
-            value: vec![3u8; 20],
-        };
-        let mut slot = vec![0u8; report.buffer_len(&layout)];
-        report.emit(&layout, &mut slot).unwrap();
-        assert_eq!(ReportRepr::parse(&layout, &slot).unwrap(), report);
     }
 
     #[test]

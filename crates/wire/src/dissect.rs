@@ -2,9 +2,9 @@
 //!
 //! [`dissect`] walks a frame layer by layer — Ethernet, IPv4, UDP,
 //! RoCEv2 transport, DART payload — and renders one line per layer,
-//! stopping gracefully at the first undecodable layer. Used by examples
-//! and invaluable when a golden test fails and you need to see *which*
-//! byte diverged.
+//! stopping gracefully at the first undecodable layer. A debugging aid:
+//! call it when a golden test fails and you need to see *which* byte
+//! diverged.
 
 use crate::{dart, ethernet, ipv4, roce, udp};
 

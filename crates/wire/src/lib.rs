@@ -10,8 +10,8 @@
 //!   AtomicETH headers plus the invariant CRC (iCRC) trailer.
 //! * [`dart`] — the DART report payload: a key checksum next to the
 //!   telemetry value, exactly as stored in collector memory slots.
-//! * [`int`] — In-band Network Telemetry report headers and per-hop
-//!   metadata stacks (path tracing).
+//! * [`int`] — In-band Network Telemetry per-hop metadata stacks (path
+//!   tracing).
 //! * [`crc`] — table-driven CRC-16/CRC-32 used by the switch CRC extern and
 //!   the RoCEv2 iCRC.
 //!

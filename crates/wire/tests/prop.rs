@@ -333,17 +333,7 @@ proptest! {
         let _ = MultiWriteRepr::parse(&bytes);
         let _ = IntStack::from_value_bytes(&bytes);
         let _ = FiveTuple::from_bytes(&bytes);
-        let _ = dta_wire::int::ReportHeader::parse(&bytes);
         let _ = dta_wire::dissect::dissect(&bytes);
-    }
-
-    /// Rich-INT parsing is total for every instruction profile.
-    #[test]
-    fn rich_int_parse_total(bytes in proptest::collection::vec(any::<u8>(), 0..128),
-                            bits in any::<u16>()) {
-        let instructions = dta_wire::int::Instructions::from_bits(bits);
-        let _ = dta_wire::int::RichIntStack::from_value_bytes(instructions, &bytes);
-        let _ = dta_wire::int::RichHopMetadata::parse(instructions, &bytes);
     }
 }
 

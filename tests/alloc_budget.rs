@@ -19,6 +19,8 @@
 //!   records no trace): the answer's bytes and nothing else — 1 for an
 //!   answer, including one read from the primary behind a failover
 //!   location, 0 for an empty return or an unreachable collector;
+//! * an Append window read (`try_query` on a listkey): the same — 1 for
+//!   the concatenated window, 0 for an empty ring;
 //! * a data packet crossing five INT hops: none (the stack is inline).
 
 use std::alloc::{GlobalAlloc, Layout, System};
@@ -278,6 +280,42 @@ fn fetch_add_delivery_allocates_nothing() {
         }
     }
     failover_and_unreachable_queries_within_budget(&mut cluster, 100);
+}
+
+#[test]
+fn append_queries_stay_within_budget() {
+    let primitive = PrimitiveSpec::Append { ring_capacity: 8 };
+    let (mut cluster, mut switch) = system(primitive);
+    let mut arena = FrameArena::new();
+    let listkeys = 50u32;
+    for round in 0..3 {
+        for i in 0..listkeys {
+            let mut value = [0u8; HOPS * 4];
+            path(i + round)
+                .write_padded_value_bytes(&mut value)
+                .unwrap();
+            switch
+                .egress_mut()
+                .craft_into(&flow(i).to_bytes(), &value, &mut arena)
+                .unwrap();
+        }
+        cluster.deliver_batch(&arena);
+        arena.clear();
+    }
+    assert_eq!(cluster.total_writes(), 3 * u64::from(listkeys));
+    for i in 0..listkeys + 50 {
+        let key = flow(i).to_bytes();
+        let (outcome, allocs) = allocs_during(|| cluster.try_query(&key));
+        let outcome = outcome.unwrap();
+        if i < listkeys {
+            assert!(outcome.is_answer(), "listkey {i} unanswered");
+            assert!(allocs <= 1, "window read {i}: {allocs} allocations");
+        } else {
+            assert_eq!(outcome, QueryOutcome::Empty);
+            assert_eq!(allocs, 0, "empty window read {i} allocated");
+        }
+    }
+    failover_and_unreachable_queries_within_budget(&mut cluster, listkeys);
 }
 
 #[test]
