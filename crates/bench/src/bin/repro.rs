@@ -1,7 +1,7 @@
 //! `repro` — regenerate every table and figure of the paper.
 //!
 //! ```text
-//! repro [--scale S] [--out DIR] [--check FILE] [fig1a|fig1b|fig3|fig4|fig5|table1|cas|theory|e2e|ext|all]
+//! repro [--scale S] [--out DIR] [--check FILE] [fig1a|fig1b|fig3|fig4|fig5|table1|cas|theory|e2e|ext|fit|all]
 //! ```
 //!
 //! `--scale` multiplies simulation sizes (default 1 ≈ 100 k keys; the
@@ -19,10 +19,10 @@ use std::env;
 use std::fs;
 use std::path::PathBuf;
 
-use dta_bench::{cas, e2e, ext, fig1, fig3, fig4, fig5, table1, theory, Scale};
+use dta_bench::{cas, e2e, ext, fig1, fig3, fig4, fig5, fit, table1, theory, Scale};
 
 const TARGETS: &[&str] = &[
-    "fig1a", "fig1b", "fig3", "fig4", "fig5", "table1", "cas", "theory", "e2e", "ext",
+    "fig1a", "fig1b", "fig3", "fig4", "fig5", "table1", "cas", "theory", "e2e", "ext", "fit",
 ];
 
 fn render(target: &str, scale: Scale, seed: u64, out_dir: Option<&PathBuf>) -> Option<String> {
@@ -70,6 +70,7 @@ fn render(target: &str, scale: Scale, seed: u64, out_dir: Option<&PathBuf>) -> O
             out.push_str(&ext::native_table());
             out.push_str(&ext::events_table(seed));
         }
+        "fit" => out.push_str(&fit::fit_table(&fit::run_fit())),
         _ => return None,
     }
     Some(out)

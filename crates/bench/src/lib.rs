@@ -16,6 +16,7 @@
 //! | [`theory`] | §4: simulation vs closed-form bounds |
 //! | [`e2e`] | §5/§6 cross-check: full-stack fat-tree sim vs theory |
 //! | [`ext`] | §5.1 adaptive N, §7 native multi-write, §2 event filtering |
+//! | [`fit`] | §6: switch resources of the DART program vs collector count |
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
@@ -27,6 +28,7 @@ pub mod fig1;
 pub mod fig3;
 pub mod fig4;
 pub mod fig5;
+pub mod fit;
 pub mod report;
 pub mod storesim;
 pub mod table1;

@@ -11,7 +11,7 @@ use std::hash::{BuildHasherDefault, Hash, Hasher};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dta_wire::FiveTuple;
+use dta_wire::{ipv4, FiveTuple};
 
 use crate::fattree::{FatTree, Host};
 
@@ -105,6 +105,15 @@ impl Hash for TupleKey {
     }
 }
 
+/// Well-known destination ports the generator draws from.
+const DST_PORTS: [u16; 6] = [80, 443, 8080, 5432, 6379, 9092];
+
+/// First ephemeral source port the generator draws.
+const SRC_PORT_MIN: u16 = 32768;
+
+/// Ephemeral source ports the generator draws (`32768..=60999`).
+const SRC_PORT_COUNT: u64 = 60999 - SRC_PORT_MIN as u64 + 1;
+
 /// A generated flow: endpoints plus the wire 5-tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Flow {
@@ -141,7 +150,7 @@ impl FlowGenerator {
             skew,
             zipf,
             seen: HashSet::default(),
-            dst_ports: vec![80, 443, 8080, 5432, 6379, 9092],
+            dst_ports: DST_PORTS.to_vec(),
         }
     }
 
@@ -174,6 +183,76 @@ impl FlowGenerator {
                 return Flow { src, dst, tuple };
             }
         }
+    }
+
+    /// The packed id of a tuple this generator issued: its place in the
+    /// generator's domain `src host × dst host × src port × dst port`,
+    /// read as one mixed-radix number (hosts by dense index, source
+    /// ports from 32768, destination ports by their index in the
+    /// well-known list; the protocol is always TCP). The mapping is
+    /// exact, so [`FlowGenerator::flow_from_id`] recovers the flow, and
+    /// the largest domain (`k` = 254) still fits a `u64`.
+    ///
+    /// # Panics
+    /// Panics if `tuple` lies outside the generator's domain.
+    pub(crate) fn flow_id(&self, tuple: &FiveTuple) -> u64 {
+        let hosts = u64::from(self.tree.host_count());
+        let src_port = tuple
+            .src_port
+            .checked_sub(SRC_PORT_MIN)
+            .map(u64::from)
+            .filter(|&port| port < SRC_PORT_COUNT)
+            .expect("source port outside the generator's ephemeral range");
+        let dst_port = DST_PORTS
+            .iter()
+            .position(|&port| port == tuple.dst_port)
+            .expect("destination port outside the generator's list") as u64;
+        assert_eq!(tuple.protocol, 6, "the generator issues TCP tuples only");
+        let hosts_id = self.host_index(tuple.src_ip) * hosts + self.host_index(tuple.dst_ip);
+        (hosts_id * SRC_PORT_COUNT + src_port) * DST_PORTS.len() as u64 + dst_port
+    }
+
+    /// The flow whose [`FlowGenerator::flow_id`] is `id`.
+    pub(crate) fn flow_from_id(&self, id: u64) -> Flow {
+        let hosts = u64::from(self.tree.host_count());
+        let ports = DST_PORTS.len() as u64;
+        let dst_port = DST_PORTS[(id % ports) as usize];
+        let id = id / ports;
+        let src_port = SRC_PORT_MIN + (id % SRC_PORT_COUNT) as u16;
+        let id = id / SRC_PORT_COUNT;
+        let src = self.tree.host((id / hosts) as u32);
+        let dst = self.tree.host((id % hosts) as u32);
+        Flow {
+            src,
+            dst,
+            tuple: FiveTuple {
+                src_ip: src.ip(),
+                dst_ip: dst.ip(),
+                src_port,
+                dst_port,
+                protocol: 6,
+            },
+        }
+    }
+
+    /// The dense index of the host at `ip` (`10.pod.edge.idx+2`), the
+    /// inverse of [`FatTree::host`].
+    ///
+    /// # Panics
+    /// Panics if no host of the tree has that address.
+    fn host_index(&self, ip: ipv4::Address) -> u64 {
+        let [net, pod, edge, idx] = ip.0;
+        assert_eq!(net, 10, "host addresses are 10.pod.edge.idx+2");
+        let host = Host {
+            pod,
+            edge,
+            idx: idx.wrapping_sub(2),
+        };
+        self.tree
+            .check_host(host)
+            .expect("address outside the tree's hosts");
+        let half = u64::from(self.tree.k / 2);
+        (u64::from(pod) * half + u64::from(edge)) * half + u64::from(host.idx)
     }
 }
 
@@ -223,6 +302,24 @@ mod tests {
                 }
             }
             assert_eq!(h, digest, "k={k} {skew:?}");
+        }
+    }
+
+    /// Every issued tuple maps to its own id and back, at three tree
+    /// sizes and both skews.
+    #[test]
+    fn flow_ids_round_trip_and_are_distinct() {
+        for k in [4, 8, 16] {
+            for skew in [Skew::Uniform, Skew::Zipf(1.0)] {
+                let mut g = FlowGenerator::new(FatTree::new(k).unwrap(), skew, 1);
+                let mut ids = HashSet::new();
+                for _ in 0..100_000 {
+                    let flow = g.next_flow();
+                    let id = g.flow_id(&flow.tuple);
+                    assert_eq!(g.flow_from_id(id), flow, "k={k} {skew:?} id {id}");
+                    assert!(ids.insert(id), "k={k} {skew:?}: id {id} repeats");
+                }
+            }
         }
     }
 

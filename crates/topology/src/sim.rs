@@ -3,7 +3,8 @@
 //! Wires the whole paper together: a fat-tree of `IntSwitch`es (real
 //! pipeline, real CRC hashing, real RoCEv2 deparsing), a lossy link, and
 //! a collector cluster whose simulated RNICs parse, validate and DMA
-//! every report. Ground truth is remembered per flow so queries can be
+//! every report. Ground truth is one packed flow id per flow, from which
+//! the flow's key and true value are derived, so queries can be
 //! classified as correct / empty / error — the §5 metrics — including
 //! per-age buckets for the Figure 4 aging curves.
 
@@ -20,13 +21,14 @@ use dta_switch::egress::EgressConfig;
 use dta_switch::int_transit::{IntError, IntPacket, IntRole, IntSwitch};
 use dta_switch::SwitchIdentity;
 use dta_wire::dart::ChecksumWidth;
+use dta_wire::int::{HopMetadata, IntStack};
 use dta_wire::roce::Psn;
 use dta_wire::FiveTuple;
 
 use dta_telemetry::int_path::PATH_HOPS;
 
 use crate::fattree::{FatTree, Path, TopologyError};
-use crate::flowgen::{FlowGenerator, Skew};
+use crate::flowgen::{Flow, FlowGenerator, Skew};
 
 /// How a finished flow's report copies reach the collector.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -216,6 +218,30 @@ impl From<dta_core::DartError> for SimError {
     }
 }
 
+/// FETCH_ADD deltas of 1 a Key-Increment flow sends: `PerPacket(n)`
+/// models an n-packet flow, and its total is its true value.
+fn increments_per_flow(mode: ReportMode) -> u64 {
+    match mode {
+        ReportMode::AllCopies => 1,
+        ReportMode::PerPacket(count) => u64::from(count),
+    }
+}
+
+/// A flow's true value, rebuilt inline: the padded INT path (Key-Write,
+/// Append) or the 8-byte counter total (Key-Increment).
+struct TrueValue {
+    bytes: [u8; PATH_HOPS * 4],
+    len: usize,
+}
+
+impl core::ops::Deref for TrueValue {
+    type Target = [u8];
+
+    fn deref(&self) -> &[u8] {
+        &self.bytes[..self.len]
+    }
+}
+
 /// Position of switch `id` in [`FatTreeSim`]'s switch table.
 fn switch_index(id: u32) -> usize {
     id as usize - 1
@@ -236,13 +262,12 @@ pub struct FatTreeSim {
     /// place by the cluster, then cleared for the next flow.
     arena: FrameArena,
     flowgen: FlowGenerator,
-    /// Ground truth in insertion (age) order: flow `i`'s key is
-    /// `truth_keys[i]` and its true value is the `i`-th
-    /// `truth_stride`-byte chunk of `truth_values`. The flow generator
-    /// never repeats a tuple, so every flow has its own entry.
-    truth_keys: Vec<FiveTuple>,
-    truth_values: Vec<u8>,
-    truth_stride: usize,
+    /// Ground truth in insertion (age) order: flow `i`'s packed id
+    /// ([`FlowGenerator::flow_id`]) is `truth_ids[i]`. Its key is the
+    /// id's inverse and its true value a pure function of the key (see
+    /// [`FatTreeSim::true_value`]). The flow generator never repeats a
+    /// tuple, so every flow has its own entry.
+    truth_ids: Vec<u64>,
     monitor: HealthMonitor,
     /// Scheduled faults not yet fired.
     pending_faults: Vec<CollectorFault>,
@@ -329,10 +354,6 @@ impl FatTreeSim {
         let mut monitor = HealthMonitor::new(config.collectors, config.probe);
         monitor.attach_obs(&obs);
         let pending_faults = config.faults.clone();
-        let truth_stride = match config.primitive {
-            PrimitiveSpec::KeyIncrement => 8,
-            _ => PATH_HOPS * 4,
-        };
         let link_gauges = obs.is_enabled().then(|| {
             ["dta_link_sent", "dta_link_delivered", "dta_link_dropped"]
                 .map(|name| obs.registry().gauge(name))
@@ -345,9 +366,7 @@ impl FatTreeSim {
             tx,
             arena: FrameArena::new(),
             flowgen,
-            truth_keys: Vec::new(),
-            truth_values: Vec::new(),
-            truth_stride,
+            truth_ids: Vec::new(),
             monitor,
             pending_faults,
             pending_recoveries: Vec::new(),
@@ -369,20 +388,47 @@ impl FatTreeSim {
 
     /// Number of flows simulated so far.
     pub fn flows_run(&self) -> u64 {
-        self.truth_keys.len() as u64
+        self.truth_ids.len() as u64
     }
 
-    /// Every reported flow's key and true value, oldest first.
-    fn truths(&self) -> impl Iterator<Item = (&FiveTuple, &[u8])> + '_ {
-        self.truth_keys
-            .iter()
-            .zip(self.truth_values.chunks_exact(self.truth_stride))
+    /// Every reported flow's key and true value, oldest first, both
+    /// rebuilt from the flow's packed id.
+    fn truths(&self) -> impl Iterator<Item = (FiveTuple, TrueValue)> + '_ {
+        self.truth_ids.iter().map(|&id| {
+            let flow = self.flowgen.flow_from_id(id);
+            (flow.tuple, self.true_value(&flow))
+        })
     }
 
-    fn record_truth(&mut self, tuple: FiveTuple, value: &[u8]) {
-        debug_assert_eq!(value.len(), self.truth_stride);
-        self.truth_keys.push(tuple);
-        self.truth_values.extend_from_slice(value);
+    /// The value a correct query for `flow` returns. Key-Write and
+    /// Append: the INT path its route's switches stamp, padded to
+    /// `PATH_HOPS` hops. Key-Increment: its packet count (the generator
+    /// never repeats a tuple, so the total is this flow's alone).
+    fn true_value(&self, flow: &Flow) -> TrueValue {
+        let mut value = TrueValue {
+            bytes: [0; PATH_HOPS * 4],
+            len: PATH_HOPS * 4,
+        };
+        if self.config.primitive == PrimitiveSpec::KeyIncrement {
+            let total = increment_encode(increments_per_flow(self.config.mode));
+            value.bytes[..total.len()].copy_from_slice(&total);
+            value.len = total.len();
+            return value;
+        }
+        let route = self
+            .tree
+            .route(flow.src, flow.dst, &flow.tuple)
+            .expect("recorded flows route within the tree");
+        let mut stack = IntStack::new();
+        for switch_id in route {
+            stack
+                .push(HopMetadata { switch_id })
+                .expect("fat-tree routes fit the INT stack");
+        }
+        stack
+            .write_padded_value_bytes(&mut value.bytes)
+            .expect("fat-tree routes fit the padded value");
+        value
     }
 
     /// Run one flow end to end; returns its key.
@@ -430,24 +476,16 @@ impl FatTreeSim {
                         .craft_into(&key, &value, frames)
                         .map_err(IntError::Switch)?,
                 }
-                self.record_truth(flow.tuple, &value);
             }
             PrimitiveSpec::KeyIncrement => {
-                // The flow contributes FETCH_ADD deltas of 1 (a packet
-                // counter); `PerPacket(n)` models an n-packet flow, and
-                // the ground truth is its total.
-                let reports = match self.config.mode {
-                    ReportMode::AllCopies => 1u64,
-                    ReportMode::PerPacket(count) => u64::from(count),
-                };
                 let delta = increment_encode(1);
-                for _ in 0..reports {
+                for _ in 0..increments_per_flow(self.config.mode) {
                     sink.craft_into(&key, &delta, frames)
                         .map_err(IntError::Switch)?;
                 }
-                self.record_truth(flow.tuple, &increment_encode(reports));
             }
         }
+        self.truth_ids.push(self.flowgen.flow_id(&flow.tuple));
 
         // Drain the wire into the collectors.
         self.drain_link();
@@ -671,7 +709,7 @@ impl FatTreeSim {
     /// buckets (oldest first).
     pub fn query_all(&self, buckets: usize) -> SimReport {
         let buckets = buckets.max(1);
-        let total = self.truth_keys.len().max(1);
+        let total = self.truth_ids.len().max(1);
         let mut correct = 0u64;
         let mut empty = 0u64;
         let mut error = 0u64;
@@ -684,7 +722,7 @@ impl FatTreeSim {
             bucket_total[bucket] += 1;
             match self.cluster.try_query(&tuple.to_bytes()) {
                 Err(_) => unreachable += 1,
-                Ok(outcome) => match classify(&outcome, truth) {
+                Ok(outcome) => match classify(&outcome, &truth) {
                     QueryClass::Correct => {
                         correct += 1;
                         bucket_correct[bucket] += 1;
@@ -754,7 +792,7 @@ impl core::fmt::Debug for FatTreeSim {
     fn fmt(&self, f: &mut core::fmt::Formatter<'_>) -> core::fmt::Result {
         f.debug_struct("FatTreeSim")
             .field("k", &self.config.k)
-            .field("flows_run", &self.truth_keys.len())
+            .field("flows_run", &self.truth_ids.len())
             .finish_non_exhaustive()
     }
 }
@@ -1076,8 +1114,8 @@ mod tests {
         // mode, bounded here, and exactness holds for everyone else.
         let mut merged = 0u64;
         for (tuple, truth) in sim.truths() {
-            let expected = u64::from_be_bytes(truth.try_into().unwrap());
-            match sim.try_query_flow(tuple).unwrap() {
+            let expected = u64::from_be_bytes(truth[..].try_into().unwrap());
+            match sim.try_query_flow(&tuple).unwrap() {
                 QueryOutcome::Empty => panic!("loss-free increments cannot vanish"),
                 QueryOutcome::Answer(bytes) => {
                     let total = u64::from_be_bytes(bytes.as_slice().try_into().unwrap());
@@ -1113,8 +1151,8 @@ mod tests {
         // truth (lost FETCH_ADDs) but can never exceed it.
         let mut lagging = 0u64;
         for (tuple, truth) in sim.truths() {
-            let expected = u64::from_be_bytes(truth.try_into().unwrap());
-            match sim.try_query_flow(tuple).unwrap() {
+            let expected = u64::from_be_bytes(truth[..].try_into().unwrap());
+            match sim.try_query_flow(&tuple).unwrap() {
                 QueryOutcome::Empty => lagging += 1,
                 QueryOutcome::Answer(bytes) => {
                     let total = u64::from_be_bytes(bytes.as_slice().try_into().unwrap());

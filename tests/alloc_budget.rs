@@ -1,7 +1,7 @@
 //! Allocation budgets of the per-report path: switch egress → collector
 //! NIC → query. A counting global allocator (per thread, so parallel
 //! tests do not disturb each other) pins how many heap allocations each
-//! step may make:
+//! step may make, and how many live bytes the simulator keeps:
 //!
 //! * a Key-Write or Key-Increment frame crafted into a warm
 //!   `FrameArena` and delivered with `CollectorCluster::deliver_batch`:
@@ -10,6 +10,11 @@
 //!   egress, link, delivery, ground truth): at most 0.05 per flow on
 //!   average once warm — only the amortized growth of the truth and
 //!   flow-dedup tables remains;
+//! * `FatTreeSim`'s retained state per flow, beyond its flow generator's
+//!   dedup set: at most 8 bytes (the packed flow id of its ground
+//!   truth);
+//! * a `FatTreeSim::query_all`: one allocation per answered flow, plus
+//!   the report's own tables;
 //! * a Key-Write egress frame crafted as an owned `CraftedReport` (the
 //!   wrapper API): at most 2 — the frame itself, plus the flow's value
 //!   bytes and report list shared by its `N` frames;
@@ -41,7 +46,9 @@ use direct_telemetry_access::switch::control_plane::ControlPlane;
 use direct_telemetry_access::switch::egress::{CraftedReport, EgressConfig};
 use direct_telemetry_access::switch::int_transit::{IntPacket, IntRole, IntSwitch};
 use direct_telemetry_access::switch::SwitchIdentity;
+use direct_telemetry_access::topology::flowgen::{FlowGenerator, Skew};
 use direct_telemetry_access::topology::sim::{FatTreeSim, ReportMode, SimConfig};
+use direct_telemetry_access::topology::FatTree;
 use direct_telemetry_access::wire::int::{HopMetadata, IntStack};
 use direct_telemetry_access::wire::{ipv4, FiveTuple};
 
@@ -49,33 +56,39 @@ struct Counting;
 
 thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
+    /// Bytes allocated minus bytes freed on this thread.
+    static LIVE: Cell<i64> = const { Cell::new(0) };
 }
 
-fn count_one() {
-    // `try_with`: the slot is gone while the thread tears down.
+/// Count one allocation that changes this thread's live bytes by
+/// `grown` (a reallocation's new size minus its old one).
+fn count_one(grown: i64) {
+    // `try_with`: the slots are gone while the thread tears down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
+    let _ = LIVE.try_with(|n| n.set(n.get() + grown));
 }
 
 // SAFETY: every call forwards unchanged to `System`, which upholds the
-// `GlobalAlloc` contract; the thread-local counter is plain statistics
-// and never allocates.
+// `GlobalAlloc` contract; the thread-local counters are plain statistics
+// and never allocate.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size() as i64);
         System.alloc(layout)
     }
 
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        count_one();
+        count_one(layout.size() as i64);
         System.alloc_zeroed(layout)
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        count_one();
+        count_one(new_size as i64 - layout.size() as i64);
         System.realloc(ptr, layout, new_size)
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        let _ = LIVE.try_with(|n| n.set(n.get() - layout.size() as i64));
         System.dealloc(ptr, layout)
     }
 }
@@ -89,6 +102,14 @@ fn allocs_during<T>(f: impl FnOnce() -> T) -> (T, u64) {
     let before = ALLOCS.with(Cell::get);
     let out = f();
     (out, ALLOCS.with(Cell::get) - before)
+}
+
+/// Run `f`, returning its result and how many more bytes are live on
+/// this thread afterwards than before.
+fn live_bytes_during<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE.with(Cell::get);
+    let out = f();
+    (out, LIVE.with(Cell::get) - before)
 }
 
 const SLOTS: u64 = 1 << 12;
@@ -410,6 +431,84 @@ fn fattree_flows_average_under_five_hundredths_of_an_allocation() {
         assert!(
             per_flow <= 0.05,
             "{primitive:?} {mode:?}: {allocs} allocations over {FLOWS} flows"
+        );
+    }
+}
+
+/// Ground truth is one packed flow id per flow: from 2^16 to 2^17 flows
+/// the simulator's live bytes grow by at most 8 per flow more than a
+/// standalone flow generator's drawing as many flows (its dedup set
+/// sizes itself by count alone, so any seed grows it alike).
+#[test]
+fn fattree_truth_retains_at_most_eight_bytes_per_flow() {
+    const FLOWS: u64 = 1 << 16;
+    for (primitive, mode) in [
+        (PrimitiveSpec::KeyWrite, ReportMode::AllCopies),
+        (PrimitiveSpec::KeyIncrement, ReportMode::PerPacket(4)),
+    ] {
+        let mut sim = FatTreeSim::new(SimConfig {
+            k: 8,
+            primitive,
+            mode,
+            slots: SLOTS,
+            collectors: 4,
+            ..SimConfig::default()
+        })
+        .unwrap();
+        sim.run_flows(FLOWS).unwrap();
+        let (result, sim_growth) = live_bytes_during(|| sim.run_flows(FLOWS));
+        result.unwrap();
+
+        let mut flowgen = FlowGenerator::new(FatTree::new(8).unwrap(), Skew::Uniform, 1);
+        let mut draw = || {
+            for _ in 0..FLOWS {
+                flowgen.next_flow();
+            }
+        };
+        draw();
+        let ((), flowgen_growth) = live_bytes_during(draw);
+
+        let per_flow = (sim_growth - flowgen_growth) as f64 / FLOWS as f64;
+        assert!(
+            per_flow <= 8.0,
+            "{primitive:?} {mode:?}: {per_flow:.2} B retained per flow \
+             (sim {sim_growth} B, flow generator {flowgen_growth} B)"
+        );
+    }
+}
+
+/// `query_all` rebuilds every flow's key and true value inline: beyond
+/// the report's own tables (what the same query costs with no flows),
+/// it allocates once per answered flow, for the answer's bytes.
+#[test]
+fn query_all_allocates_once_per_answered_flow() {
+    for (primitive, mode) in [
+        (PrimitiveSpec::KeyWrite, ReportMode::AllCopies),
+        (
+            PrimitiveSpec::Append { ring_capacity: 4 },
+            ReportMode::AllCopies,
+        ),
+        (PrimitiveSpec::KeyIncrement, ReportMode::PerPacket(4)),
+    ] {
+        let config = SimConfig {
+            k: 8,
+            primitive,
+            mode,
+            slots: SLOTS,
+            collectors: 4,
+            ..SimConfig::default()
+        };
+        let idle = FatTreeSim::new(config.clone()).unwrap();
+        let (_, report_allocs) = allocs_during(|| idle.query_all(8));
+        let mut sim = FatTreeSim::new(config).unwrap();
+        sim.run_flows(10_000).unwrap();
+        let (report, allocs) = allocs_during(|| sim.query_all(8));
+        let answered = report.correct + report.error;
+        assert!(answered > 0, "{primitive:?}: nothing answered");
+        assert!(
+            allocs <= answered + report_allocs,
+            "{primitive:?}: {allocs} allocations for {answered} answers \
+             and {report_allocs} for the report"
         );
     }
 }
