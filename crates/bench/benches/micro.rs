@@ -199,6 +199,26 @@ fn bench_e2e_flow(c: &mut Criterion) {
     group.finish();
 }
 
+/// `next_flow` on a k = 8 uniform generator (perfbench's tree) that has
+/// already issued 2^16 flows (a dedup set of about 1 MB) and 2^21
+/// (`ingest`'s flow count, a set of about 38 MB).
+fn bench_flowgen(c: &mut Criterion) {
+    use dta_topology::flowgen::{FlowGenerator, Skew};
+    use dta_topology::FatTree;
+    let mut group = c.benchmark_group("micro/flowgen");
+    group.throughput(Throughput::Elements(1));
+    for log2_issued in [16, 21] {
+        let mut flowgen = FlowGenerator::new(FatTree::new(8).unwrap(), Skew::Uniform, 1);
+        for _ in 0..1u64 << log2_issued {
+            flowgen.next_flow();
+        }
+        group.bench_function(format!("next_flow_after_2^{log2_issued}"), |b| {
+            b.iter(|| black_box(flowgen.next_flow()))
+        });
+    }
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_hashing,
@@ -206,6 +226,7 @@ criterion_group!(
     bench_slot_codec,
     bench_report_crafting,
     bench_cluster_query,
-    bench_e2e_flow
+    bench_e2e_flow,
+    bench_flowgen
 );
 criterion_main!(benches);

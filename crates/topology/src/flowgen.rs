@@ -3,15 +3,16 @@
 //! Generates flow 5-tuples between fat-tree hosts. Destination selection
 //! is either uniform or Zipf-skewed (datacenter traffic concentrates on
 //! hot services); source ports are ephemeral, so keys are unique with
-//! overwhelming probability and the generator additionally deduplicates.
+//! overwhelming probability and the generator additionally deduplicates
+//! by each flow's packed id.
 
 use std::collections::HashSet;
-use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::hash::{BuildHasherDefault, Hasher};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use dta_wire::{ipv4, FiveTuple};
+use dta_wire::FiveTuple;
 
 use crate::fattree::{FatTree, Host};
 
@@ -57,34 +58,30 @@ impl Zipf {
     }
 }
 
-/// A multiplicative hasher for the generator's own tuple keys: one
-/// 128-bit multiply folded to 64 bits per key. The keys come from the
-/// generator, never from outside, so the flooding resistance SipHash
-/// buys is not needed here.
+/// A bijective 64-bit mix (MurmurHash3's finalizer): distinct flow ids
+/// stay distinct, and every id bit reaches every bit of the result.
+fn mix(id: u64) -> u64 {
+    let mut x = id ^ (id >> 33);
+    x = x.wrapping_mul(0xff51_afd7_ed55_8ccd);
+    x ^= x >> 33;
+    x = x.wrapping_mul(0xc4ce_b9fe_1a85_ec53);
+    x ^ (x >> 33)
+}
+
+/// The dedup set's hasher. Its keys are flow ids already passed through
+/// [`mix`], so a key is its own hash. The keys come from the generator,
+/// never from outside, so the flooding resistance SipHash buys is not
+/// needed here.
 #[derive(Default)]
-struct TupleHasher(u64);
+struct MixedIdHasher(u64);
 
-impl Hasher for TupleHasher {
-    fn write(&mut self, bytes: &[u8]) {
-        for chunk in bytes.chunks(8) {
-            let mut word = [0u8; 8];
-            word[..chunk.len()].copy_from_slice(chunk);
-            self.write_u64(u64::from_le_bytes(word));
-        }
+impl Hasher for MixedIdHasher {
+    fn write(&mut self, _: &[u8]) {
+        unreachable!("the dedup set hashes only its u64 keys")
     }
 
-    fn write_u64(&mut self, word: u64) {
-        self.write_u128(u128::from(word));
-    }
-
-    fn write_u128(&mut self, key: u128) {
-        // Folded multiply: the high and low halves of the product mix
-        // every input bit into both the bucket bits and the tag bits.
-        const K: u64 = 0x9E37_79B9_7F4A_7C15;
-        let lo = (key as u64) ^ self.0;
-        let hi = (key >> 64) as u64 ^ K;
-        let product = u128::from(lo ^ K.rotate_left(23)) * u128::from(hi);
-        self.0 = (product as u64) ^ (product >> 64) as u64;
+    fn write_u64(&mut self, key: u64) {
+        self.0 = key;
     }
 
     fn finish(&self) -> u64 {
@@ -92,18 +89,21 @@ impl Hasher for TupleHasher {
     }
 }
 
-/// A 5-tuple as the dedup set stores it: its 13 wire bytes (13 bytes
-/// per bucket, where a `FiveTuple` takes 14), hashed as one integer.
-#[derive(PartialEq, Eq)]
-struct TupleKey([u8; FiveTuple::WIRE_LEN]);
+/// One shard of the dedup set: mixed flow ids, 9 bytes per bucket.
+type IdSet = HashSet<u64, BuildHasherDefault<MixedIdHasher>>;
 
-impl Hash for TupleKey {
-    fn hash<H: Hasher>(&self, state: &mut H) {
-        let mut bytes = [0u8; 16];
-        bytes[..FiveTuple::WIRE_LEN].copy_from_slice(&self.0);
-        state.write_u128(u128::from_le_bytes(bytes));
-    }
-}
+/// log2 of the dedup set's shard count.
+const SHARD_BITS: u32 = 5;
+
+/// Shards of the dedup set. A resize rebuilds one shard's table, so
+/// only that shard's old table is live beside the set, not the whole
+/// set's.
+const SHARDS: usize = 1 << SHARD_BITS;
+
+/// Where a mixed id's shard index starts: just below the top 7 bits,
+/// which hashbrown keeps as each bucket's tag (its bucket index comes
+/// from the low bits), so the keys of one shard still differ in both.
+const SHARD_SHIFT: u32 = 64 - 7 - SHARD_BITS;
 
 /// Well-known destination ports the generator draws from.
 const DST_PORTS: [u16; 6] = [80, 443, 8080, 5432, 6379, 9092];
@@ -111,8 +111,11 @@ const DST_PORTS: [u16; 6] = [80, 443, 8080, 5432, 6379, 9092];
 /// First ephemeral source port the generator draws.
 const SRC_PORT_MIN: u16 = 32768;
 
-/// Ephemeral source ports the generator draws (`32768..=60999`).
-const SRC_PORT_COUNT: u64 = 60999 - SRC_PORT_MIN as u64 + 1;
+/// Last ephemeral source port the generator draws.
+const SRC_PORT_MAX: u16 = 60999;
+
+/// Ephemeral source ports the generator draws.
+const SRC_PORT_COUNT: u64 = (SRC_PORT_MAX - SRC_PORT_MIN) as u64 + 1;
 
 /// A generated flow: endpoints plus the wire 5-tuple.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -131,10 +134,9 @@ pub struct FlowGenerator {
     rng: StdRng,
     skew: Skew,
     zipf: Option<Zipf>,
-    /// Every tuple issued so far.
-    seen: HashSet<TupleKey, BuildHasherDefault<TupleHasher>>,
-    /// Well-known destination ports drawn from.
-    dst_ports: Vec<u16>,
+    /// The mixed id of every flow issued so far, in the shard that a
+    /// few of its bits pick.
+    seen: [IdSet; SHARDS],
 }
 
 impl FlowGenerator {
@@ -149,8 +151,7 @@ impl FlowGenerator {
             rng: StdRng::seed_from_u64(seed),
             skew,
             zipf,
-            seen: HashSet::default(),
-            dst_ports: DST_PORTS.to_vec(),
+            seen: std::array::from_fn(|_| IdSet::default()),
         }
     }
 
@@ -161,58 +162,51 @@ impl FlowGenerator {
 
     /// Generate the next flow with a previously unseen 5-tuple.
     pub fn next_flow(&mut self) -> Flow {
+        self.next_flow_and_id().0
+    }
+
+    /// Generate the next flow, as [`FlowGenerator::next_flow`] does, with
+    /// its packed id: its place in the generator's domain `src host ×
+    /// dst host × src port × dst port`, read as one mixed-radix number
+    /// (hosts by dense index, source ports from 32768, destination ports
+    /// by their index in the well-known list; the protocol is always
+    /// TCP). The mapping is exact, so [`FlowGenerator::flow_from_id`]
+    /// recovers the flow, and the largest domain (`k` = 254) still fits
+    /// a `u64`.
+    pub(crate) fn next_flow_and_id(&mut self) -> (Flow, u64) {
+        let hosts = self.tree.host_count();
         loop {
-            let hosts = self.tree.host_count();
-            let src = self.tree.host(self.rng.gen_range(0..hosts));
+            let src_index = self.rng.gen_range(0..hosts);
             let dst_index = match &self.zipf {
                 Some(z) => z.sample(&mut self.rng) as u32,
                 None => self.rng.gen_range(0..hosts),
             };
-            let dst = self.tree.host(dst_index);
-            if src == dst {
+            if src_index == dst_index {
                 continue;
             }
-            let tuple = FiveTuple {
-                src_ip: src.ip(),
-                dst_ip: dst.ip(),
-                src_port: self.rng.gen_range(32768..=60999),
-                dst_port: self.dst_ports[self.rng.gen_range(0..self.dst_ports.len())],
-                protocol: 6,
-            };
-            if self.seen.insert(TupleKey(tuple.to_bytes())) {
-                return Flow { src, dst, tuple };
+            let src_port: u16 = self.rng.gen_range(SRC_PORT_MIN..=SRC_PORT_MAX);
+            let dst_port = self.rng.gen_range(0..DST_PORTS.len());
+            let hosts_id = u64::from(src_index) * u64::from(hosts) + u64::from(dst_index);
+            let id = (hosts_id * SRC_PORT_COUNT + u64::from(src_port - SRC_PORT_MIN))
+                * DST_PORTS.len() as u64
+                + dst_port as u64;
+            let mixed = mix(id);
+            if self.seen[(mixed >> SHARD_SHIFT) as usize % SHARDS].insert(mixed) {
+                let (src, dst) = (self.tree.host(src_index), self.tree.host(dst_index));
+                let tuple = FiveTuple {
+                    src_ip: src.ip(),
+                    dst_ip: dst.ip(),
+                    src_port,
+                    dst_port: DST_PORTS[dst_port],
+                    protocol: 6,
+                };
+                return (Flow { src, dst, tuple }, id);
             }
         }
     }
 
-    /// The packed id of a tuple this generator issued: its place in the
-    /// generator's domain `src host × dst host × src port × dst port`,
-    /// read as one mixed-radix number (hosts by dense index, source
-    /// ports from 32768, destination ports by their index in the
-    /// well-known list; the protocol is always TCP). The mapping is
-    /// exact, so [`FlowGenerator::flow_from_id`] recovers the flow, and
-    /// the largest domain (`k` = 254) still fits a `u64`.
-    ///
-    /// # Panics
-    /// Panics if `tuple` lies outside the generator's domain.
-    pub(crate) fn flow_id(&self, tuple: &FiveTuple) -> u64 {
-        let hosts = u64::from(self.tree.host_count());
-        let src_port = tuple
-            .src_port
-            .checked_sub(SRC_PORT_MIN)
-            .map(u64::from)
-            .filter(|&port| port < SRC_PORT_COUNT)
-            .expect("source port outside the generator's ephemeral range");
-        let dst_port = DST_PORTS
-            .iter()
-            .position(|&port| port == tuple.dst_port)
-            .expect("destination port outside the generator's list") as u64;
-        assert_eq!(tuple.protocol, 6, "the generator issues TCP tuples only");
-        let hosts_id = self.host_index(tuple.src_ip) * hosts + self.host_index(tuple.dst_ip);
-        (hosts_id * SRC_PORT_COUNT + src_port) * DST_PORTS.len() as u64 + dst_port
-    }
-
-    /// The flow whose [`FlowGenerator::flow_id`] is `id`.
+    /// The flow whose packed id ([`FlowGenerator::next_flow_and_id`]) is
+    /// `id`.
     pub(crate) fn flow_from_id(&self, id: u64) -> Flow {
         let hosts = u64::from(self.tree.host_count());
         let ports = DST_PORTS.len() as u64;
@@ -233,26 +227,6 @@ impl FlowGenerator {
                 protocol: 6,
             },
         }
-    }
-
-    /// The dense index of the host at `ip` (`10.pod.edge.idx+2`), the
-    /// inverse of [`FatTree::host`].
-    ///
-    /// # Panics
-    /// Panics if no host of the tree has that address.
-    fn host_index(&self, ip: ipv4::Address) -> u64 {
-        let [net, pod, edge, idx] = ip.0;
-        assert_eq!(net, 10, "host addresses are 10.pod.edge.idx+2");
-        let host = Host {
-            pod,
-            edge,
-            idx: idx.wrapping_sub(2),
-        };
-        self.tree
-            .check_host(host)
-            .expect("address outside the tree's hosts");
-        let half = u64::from(self.tree.k / 2);
-        (u64::from(pod) * half + u64::from(edge)) * half + u64::from(host.idx)
     }
 }
 
@@ -284,14 +258,16 @@ mod tests {
         }
     }
 
-    /// The dedup set's hasher only places keys in buckets, so it must
-    /// not move the flow sequence: a digest (FNV-1a over the 13-byte
-    /// keys) of seed 1's first 100k flows is pinned.
+    /// The dedup set only rejects repeats, so neither its key nor its
+    /// layout may move the flow sequence: a digest (FNV-1a over the
+    /// 13-byte keys) of seed 1's first 100k flows is pinned. At k = 16
+    /// the ids exceed 2^32.
     #[test]
     fn flow_sequence_is_pinned() {
         for (k, skew, digest) in [
             (8, Skew::Uniform, 0xabe6_4515_603b_d323u64),
             (4, Skew::Zipf(1.0), 0x2da7_361f_6eef_6344),
+            (16, Skew::Uniform, 0xd66f_3746_64ca_0915),
         ] {
             let mut g = FlowGenerator::new(FatTree::new(k).unwrap(), skew, 1);
             let mut h: u64 = 0xcbf2_9ce4_8422_2325;
@@ -305,8 +281,8 @@ mod tests {
         }
     }
 
-    /// Every issued tuple maps to its own id and back, at three tree
-    /// sizes and both skews.
+    /// Every issued flow's id maps back to it, and no id repeats, at
+    /// three tree sizes and both skews.
     #[test]
     fn flow_ids_round_trip_and_are_distinct() {
         for k in [4, 8, 16] {
@@ -314,8 +290,7 @@ mod tests {
                 let mut g = FlowGenerator::new(FatTree::new(k).unwrap(), skew, 1);
                 let mut ids = HashSet::new();
                 for _ in 0..100_000 {
-                    let flow = g.next_flow();
-                    let id = g.flow_id(&flow.tuple);
+                    let (flow, id) = g.next_flow_and_id();
                     assert_eq!(g.flow_from_id(id), flow, "k={k} {skew:?} id {id}");
                     assert!(ids.insert(id), "k={k} {skew:?}: id {id} repeats");
                 }

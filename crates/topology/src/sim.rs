@@ -263,10 +263,10 @@ pub struct FatTreeSim {
     arena: FrameArena,
     flowgen: FlowGenerator,
     /// Ground truth in insertion (age) order: flow `i`'s packed id
-    /// ([`FlowGenerator::flow_id`]) is `truth_ids[i]`. Its key is the
-    /// id's inverse and its true value a pure function of the key (see
-    /// [`FatTreeSim::true_value`]). The flow generator never repeats a
-    /// tuple, so every flow has its own entry.
+    /// ([`FlowGenerator::next_flow_and_id`]) is `truth_ids[i]`. Its key
+    /// is the id's inverse and its true value a pure function of the key
+    /// (see [`FatTreeSim::true_value`]). The flow generator never repeats
+    /// a tuple, so every flow has its own entry.
     truth_ids: Vec<u64>,
     monitor: HealthMonitor,
     /// Scheduled faults not yet fired.
@@ -433,7 +433,7 @@ impl FatTreeSim {
 
     /// Run one flow end to end; returns its key.
     pub fn run_flow(&mut self) -> Result<FiveTuple, SimError> {
-        let flow = self.flowgen.next_flow();
+        let (flow, id) = self.flowgen.next_flow_and_id();
         let route = self.tree.route(flow.src, flow.dst, &flow.tuple)?;
 
         // INT accumulation along the path.
@@ -485,7 +485,7 @@ impl FatTreeSim {
                 }
             }
         }
-        self.truth_ids.push(self.flowgen.flow_id(&flow.tuple));
+        self.truth_ids.push(id);
 
         // Drain the wire into the collectors.
         self.drain_link();

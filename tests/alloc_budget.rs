@@ -8,11 +8,14 @@
 //!   none, end to end;
 //! * a whole `FatTreeSim::run_flow` (flow generation, routing, INT,
 //!   egress, link, delivery, ground truth): at most 0.05 per flow on
-//!   average once warm — only the amortized growth of the truth and
-//!   flow-dedup tables remains;
+//!   average once warm — only the amortized growth of the truth log and
+//!   of the flow generator's dedup shards remains;
 //! * `FatTreeSim`'s retained state per flow, beyond its flow generator's
 //!   dedup set: at most 8 bytes (the packed flow id of its ground
 //!   truth);
+//! * a flow generator's peak live bytes while it draws its flows: at
+//!   most 20 per flow (the dedup set keys 8-byte ids, and a resize
+//!   rebuilds one shard at a time);
 //! * a `FatTreeSim::query_all`: one allocation per answered flow, plus
 //!   the report's own tables;
 //! * a Key-Write egress frame crafted as an owned `CraftedReport` (the
@@ -58,6 +61,8 @@ thread_local! {
     static ALLOCS: Cell<u64> = const { Cell::new(0) };
     /// Bytes allocated minus bytes freed on this thread.
     static LIVE: Cell<i64> = const { Cell::new(0) };
+    /// The most `LIVE` has read since `peak_bytes_during` last reset it.
+    static PEAK: Cell<i64> = const { Cell::new(0) };
 }
 
 /// Count one allocation that changes this thread's live bytes by
@@ -65,7 +70,12 @@ thread_local! {
 fn count_one(grown: i64) {
     // `try_with`: the slots are gone while the thread tears down.
     let _ = ALLOCS.try_with(|n| n.set(n.get() + 1));
-    let _ = LIVE.try_with(|n| n.set(n.get() + grown));
+    if let Ok(live) = LIVE.try_with(|n| {
+        n.set(n.get() + grown);
+        n.get()
+    }) {
+        let _ = PEAK.try_with(|p| p.set(p.get().max(live)));
+    }
 }
 
 // SAFETY: every call forwards unchanged to `System`, which upholds the
@@ -110,6 +120,15 @@ fn live_bytes_during<T>(f: impl FnOnce() -> T) -> (T, i64) {
     let before = LIVE.with(Cell::get);
     let out = f();
     (out, LIVE.with(Cell::get) - before)
+}
+
+/// Run `f`, returning its result and the most bytes that were live on
+/// this thread at once during it, beyond those live before.
+fn peak_bytes_during<T>(f: impl FnOnce() -> T) -> (T, i64) {
+    let before = LIVE.with(Cell::get);
+    PEAK.with(|p| p.set(before));
+    let out = f();
+    (out, PEAK.with(Cell::get) - before)
 }
 
 const SLOTS: u64 = 1 << 12;
@@ -437,8 +456,9 @@ fn fattree_flows_average_under_five_hundredths_of_an_allocation() {
 
 /// Ground truth is one packed flow id per flow: from 2^16 to 2^17 flows
 /// the simulator's live bytes grow by at most 8 per flow more than a
-/// standalone flow generator's drawing as many flows (its dedup set
-/// sizes itself by count alone, so any seed grows it alike).
+/// standalone flow generator's drawing as many flows (each of its dedup
+/// shards holds about 1/32 of the flows, far from a resize threshold at
+/// these counts, so any seed grows the set alike).
 #[test]
 fn fattree_truth_retains_at_most_eight_bytes_per_flow() {
     const FLOWS: u64 = 1 << 16;
@@ -475,6 +495,28 @@ fn fattree_truth_retains_at_most_eight_bytes_per_flow() {
              (sim {sim_growth} B, flow generator {flowgen_growth} B)"
         );
     }
+}
+
+/// The dedup set keys each flow by its 8-byte id and grows one shard at
+/// a time: drawing 2^17 flows, a fresh generator's live bytes peak at
+/// about 18 per flow (2^18 buckets of 9 bytes, plus one shard's old
+/// table while it resizes). One table of 13-byte tuple keys would peak
+/// at about 42, its old table live beside the new one.
+#[test]
+fn flow_generator_peak_is_at_most_twenty_bytes_per_flow() {
+    const FLOWS: u64 = 1 << 17;
+    let (_flowgen, peak) = peak_bytes_during(|| {
+        let mut flowgen = FlowGenerator::new(FatTree::new(8).unwrap(), Skew::Uniform, 1);
+        for _ in 0..FLOWS {
+            flowgen.next_flow();
+        }
+        flowgen
+    });
+    let per_flow = peak as f64 / FLOWS as f64;
+    assert!(
+        per_flow <= 20.0,
+        "{per_flow:.2} B per flow at peak ({peak} B over {FLOWS} flows)"
+    );
 }
 
 /// `query_all` rebuilds every flow's key and true value inline: beyond
