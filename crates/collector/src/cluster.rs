@@ -543,10 +543,10 @@ impl CollectorCluster {
         self.collectors.iter().map(|c| c.endpoint()).collect()
     }
 
-    /// A directory with a *dedicated* UC queue pair per collector for
-    /// one reporting switch (each switch keeps its own PSN counters, so
-    /// each needs its own QPs — see
-    /// [`DartCollector::allocate_switch_qp`]).
+    /// A directory with a *dedicated* queue pair per collector (UC, or
+    /// RC for Key-Increment's atomics) for one reporting switch (each
+    /// switch keeps its own PSN counters, so each needs its own QPs —
+    /// see [`DartCollector::allocate_switch_qp`]).
     pub fn directory_for_switch(&mut self) -> Vec<RemoteEndpoint> {
         self.collectors
             .iter_mut()

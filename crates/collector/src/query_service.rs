@@ -154,8 +154,10 @@ impl<'a> QueryService<'a> {
     }
 
     /// "How much has this flow sent?" — the running total over the
-    /// Key-Increment primitive. Under report loss the answer is the
-    /// minimum across copies: a conservative total, never an overcount.
+    /// Key-Increment primitive: the minimum across copies. It
+    /// overcounts by what collided into every copy's slot, and
+    /// undercounts when FETCH_ADDs were lost; with none lost it never
+    /// undercounts.
     pub fn flow_total(&mut self, flow: FiveTuple) -> Answer<u64> {
         self.run(FlowCountBackend::encode_key(&flow), |bytes| {
             FlowCountBackend::decode_value(bytes).ok()

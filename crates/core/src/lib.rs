@@ -50,7 +50,6 @@ pub mod error;
 pub mod hash;
 pub mod primitive;
 pub mod query;
-pub mod sketch;
 pub mod store;
 
 pub use config::DartConfig;

@@ -13,11 +13,13 @@
 //!   entry at the next ring position with an RDMA WRITE; readers are
 //!   stateless and reconstruct the window from per-entry sequence
 //!   numbers, dropping torn head entries at the wrap point.
-//! * [`PrimitiveSpec::KeyIncrement`] — aggregating counters. The switch
-//!   emits RC FETCH_ADD atomics; each of a key's `N` slots accumulates
-//!   the full total independently, and queries report the *minimum*
-//!   over copies, which is conservative (never an overcount caused by
-//!   partial loss of one copy's stream).
+//! * [`PrimitiveSpec::KeyIncrement`] — aggregating counters: a
+//!   Count-Min sketch with `d = N` hashed copies over one shared table.
+//!   The switch emits RC FETCH_ADD atomics; each of a key's `N` slots
+//!   accumulates the full total plus whatever else hashed there, and
+//!   queries report the *minimum* over copies. With every atomic
+//!   committed it never undercounts, while hash collisions make it
+//!   overcount (the Count-Min error); lost FETCH_ADDs make it undercount.
 //!
 //! The spec is carried in `DartConfig` and `EgressConfig`, so the whole
 //! egress→link→NIC→store→query pipeline dispatches on it in exactly one

@@ -549,8 +549,10 @@ impl<'a> StoreView<'a> {
     /// * Append — one probe per ring position; the outcome concatenates
     ///   the in-window entries **oldest first**, `votes` = entry count.
     /// * Key-Increment — one probe per copy; the outcome is the 8-byte
-    ///   big-endian *minimum* over non-zero copies (conservative under
-    ///   partial loss), `votes` = copies agreeing with the minimum.
+    ///   big-endian *minimum* over non-zero copies, `votes` = copies
+    ///   agreeing with the minimum. Collisions overcount and lost
+    ///   FETCH_ADDs undercount; with every atomic committed the minimum
+    ///   never undercounts.
     pub fn query_traced<T: ProbeTrace>(
         &self,
         key: &[u8],
@@ -1078,7 +1080,29 @@ mod tests {
             panic!("expected a total");
         };
         let total = u64::from_be_bytes(total.try_into().unwrap());
-        assert_eq!(total, 30, "minimum over copies never overcounts");
+        assert_eq!(total, 30, "lost FETCH_ADDs make the minimum undercount");
+    }
+
+    #[test]
+    fn increment_self_collision_doubles_the_minimum() {
+        // The cost of one shared table: when a key's two copies hash to
+        // the same word, that word takes both FETCH_ADDs and the minimum
+        // reads twice the total. Per-copy rows would rule this out.
+        const SLOTS: u64 = 16;
+        let mapping = crate::hash::CrcMapping::new();
+        let key = (0..1000)
+            .map(|i| format!("flow:{i}").into_bytes())
+            .find(|k| mapping.slot(k, 0, SLOTS) == mapping.slot(k, 1, SLOTS))
+            .expect("about 1 key in 16 self-collides");
+        let mut cfg = increment_config(SLOTS);
+        cfg.mapping = crate::hash::MappingKind::Crc;
+        let mut store = DartStore::new(cfg);
+        store.increment(&key, 7).unwrap();
+        store.increment(&key, 5).unwrap();
+        assert_eq!(
+            store.query(&key),
+            QueryOutcome::Answer(24u64.to_be_bytes().to_vec())
+        );
     }
 
     #[test]

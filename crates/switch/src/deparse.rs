@@ -1,7 +1,7 @@
 //! The switch deparser: the single P4-style header-stack emitter.
 //!
 //! Every RoCEv2 stream a switch originates — Key-Write report WRITEs,
-//! Append ring WRITEs, Key-Increment and sketch FETCH_ADDs, native
+//! Append ring WRITEs, Key-Increment FETCH_ADDs, native
 //! multi-write SENDs — leaves through [`deparse_into`], which emits
 //! Ethernet ‖ IPv4 ‖ UDP(4791) ‖ transport packet ‖ iCRC exactly the way
 //! the egress deparser stage of the P4 program does. It must stay

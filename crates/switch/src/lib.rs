@@ -40,7 +40,6 @@ pub mod externs;
 pub mod int_transit;
 pub mod mirror;
 pub mod pipeline;
-pub mod sketch;
 pub mod tables;
 
 pub use control_plane::ControlPlane;

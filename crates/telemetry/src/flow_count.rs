@@ -3,9 +3,9 @@
 //! Instead of overwriting a slot per report (Key-Write), every packet of
 //! a flow contributes a FETCH_ADD delta into one 8-byte counter word —
 //! the aggregation happens *in collector memory*, so switches keep zero
-//! per-flow counter state and the operator reads exact totals. Under
-//! report loss the query side answers the **minimum** across copies, a
-//! deliberately conservative total (an undercount, never an overcount).
+//! per-flow counter state. The query side answers the **minimum**
+//! across copies, a Count-Min estimate: lost FETCH_ADDs make it
+//! undercount, keys colliding in every copy's slot make it overcount.
 
 use dta_wire::{FiveTuple, Result};
 

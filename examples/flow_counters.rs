@@ -139,8 +139,8 @@ fn main() {
     // The same counters through the full pipeline: the builder forces
     // 8-byte counter words, the egress crafts one RC FETCH_ADD per
     // redundant copy, and the query takes the minimum over copies — a
-    // hash collision can only inflate one copy, so the minimum stays
-    // the conservative truth.
+    // Count-Min read: a collision inflates a copy, so the minimum
+    // overcounts only when every copy collided.
     let config = DartConfig::builder()
         .slots(COUNTERS)
         .copies(2)
@@ -195,7 +195,7 @@ fn main() {
         }
     }
 
-    // The explain trace narrates the conservative read: both counter
+    // The explain trace narrates the minimum read: both counter
     // words probed, the minimum answered.
     let explain = cluster.query_explain(traffic[0].0);
     println!("\nexplain {:?}:", String::from_utf8_lossy(traffic[0].0));

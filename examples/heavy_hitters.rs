@@ -5,53 +5,79 @@
 //! ```
 //!
 //! §7's sketch-aggregation idea put to work: three switches FETCH_ADD
-//! every flow's bytes into one Count-Min sketch in collector DRAM. The
-//! operator then asks "which flows exceed 1% of traffic?" — network-wide
-//! heavy hitters with *zero* per-flow counter state on any switch.
+//! every flow's bytes into a Key-Increment cluster, which is a Count-Min
+//! sketch in collector DRAM (each key's `N` hashed counter words are the
+//! sketch's rows; a query takes the minimum). The operator then asks
+//! "which flows exceed 1% of traffic?" — network-wide heavy hitters with
+//! *zero* per-flow counter state on any switch.
 
-use direct_telemetry_access::core::sketch::{CmSketchGeometry, CmSketchView};
-use direct_telemetry_access::rdma::mr::AccessFlags;
+use direct_telemetry_access::collector::CollectorCluster;
+use direct_telemetry_access::core::config::DartConfig;
+use direct_telemetry_access::core::hash::MappingKind;
+use direct_telemetry_access::core::primitive::{increment_decode, increment_encode};
+use direct_telemetry_access::core::query::QueryOutcome;
+use direct_telemetry_access::core::PrimitiveSpec;
 use direct_telemetry_access::rdma::nic::RxAction;
-use direct_telemetry_access::rdma::verbs::Device;
-use direct_telemetry_access::switch::sketch::SketchReporter;
+use direct_telemetry_access::switch::control_plane::ControlPlane;
+use direct_telemetry_access::switch::egress::{DartEgress, EgressConfig};
 use direct_telemetry_access::switch::SwitchIdentity;
-use direct_telemetry_access::wire::roce::Psn;
-use direct_telemetry_access::wire::{ethernet, ipv4};
 
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-const BASE_VA: u64 = 0x8000;
+/// Counter words per collector (the sketch width).
+const SLOTS: u64 = 2048;
+/// Hashed copies per flow (the sketch depth).
+const COPIES: u8 = 4;
+const COLLECTORS: u32 = 2;
 
 fn main() {
-    let geometry = CmSketchGeometry {
-        base_va: BASE_VA,
-        depth: 4,
-        width: 2048,
-        seed: 0x5E7C,
-    };
-
-    // Collector bring-up.
-    let mut device = Device::open(
-        ethernet::Address([0x02, 0xC0, 0, 0, 0, 1]),
-        ipv4::Address([10, 200, 0, 1]),
-    );
-    let (rkey, handle) = device
-        .register_region(
-            BASE_VA,
-            geometry.bytes() as usize,
-            AccessFlags::DART_COLLECTOR,
-        )
+    // Collector bring-up: the counters live in two collectors' DRAM.
+    let config = DartConfig::builder()
+        .slots(SLOTS)
+        .copies(COPIES)
+        .collectors(COLLECTORS)
+        .mapping(MappingKind::Crc)
+        .primitive(PrimitiveSpec::KeyIncrement)
+        .build()
         .unwrap();
+    let layout = config.layout;
+    let mut cluster = CollectorCluster::new(config).unwrap();
 
-    // Three edge switches, each with an RC QP for atomics.
-    let mut reporters: Vec<SketchReporter> = (0..3u32)
+    // Three edge switches, each with its own RC QP per collector.
+    let mut switches: Vec<DartEgress> = (0..3u32)
         .map(|i| {
-            let qpn = device.create_rc_qp(Psn::new(0), 0x800 + i).unwrap();
-            let endpoint = device.endpoint(qpn, rkey, BASE_VA, geometry.bytes());
-            SketchReporter::new(SwitchIdentity::derived(10 + i), geometry, endpoint, 49152).unwrap()
+            let mut egress = DartEgress::new(
+                SwitchIdentity::derived(10 + i),
+                EgressConfig {
+                    copies: COPIES,
+                    slots: SLOTS,
+                    layout,
+                    collectors: COLLECTORS,
+                    udp_src_port: 49152,
+                    primitive: PrimitiveSpec::KeyIncrement,
+                },
+                u64::from(i),
+            )
+            .unwrap();
+            ControlPlane::new()
+                .install_directory(&mut egress, &cluster.directory_for_switch())
+                .unwrap();
+            egress
         })
         .collect();
+    let mut report = |egress: &mut DartEgress, key: &str, bytes: u64| {
+        for frame in egress
+            .craft(key.as_bytes(), &increment_encode(bytes))
+            .unwrap()
+        {
+            let action = cluster.deliver(&frame.frame).action;
+            assert!(
+                matches!(action, RxAction::AtomicExecuted { .. }),
+                "{action:?}"
+            );
+        }
+    };
 
     // Traffic: 500 mice plus 3 elephants, split across the switches.
     let mut rng = StdRng::seed_from_u64(0xE1E);
@@ -62,43 +88,39 @@ fn main() {
         ("flow:ml-allreduce", 3_000_000),
     ];
     for (name, bytes) in elephants {
-        for reporter in reporters.iter_mut() {
+        for egress in switches.iter_mut() {
             let share = bytes / 3;
-            for frame in reporter.craft_update(name.as_bytes(), share) {
-                assert!(matches!(
-                    device.nic_mut().handle_frame(&frame).action,
-                    RxAction::AtomicExecuted { .. }
-                ));
-            }
+            report(egress, name, share);
             total_bytes += share;
         }
     }
     for i in 0..500u32 {
-        let key = format!("flow:mouse-{i}");
         let bytes = rng.gen_range(1_000..20_000);
-        let reporter = &mut reporters[(i % 3) as usize];
-        for frame in reporter.craft_update(key.as_bytes(), bytes) {
-            device.nic_mut().handle_frame(&frame);
-        }
+        report(
+            &mut switches[(i % 3) as usize],
+            &format!("flow:mouse-{i}"),
+            bytes,
+        );
         total_bytes += bytes;
     }
     println!(
         "ingested ~{:.1} MB of traffic accounting from 3 switches ({} atomics)",
         total_bytes as f64 / 1e6,
-        device.nic().counters().fetch_adds
+        cluster.total_atomics()
     );
 
-    // Operator: probe candidate flows against a 1% threshold.
-    let memory = handle.snapshot();
-    let view = CmSketchView::new(geometry, &memory, BASE_VA).unwrap();
-    let threshold = view.total_weight() / 100;
+    // Operator: probe candidate flows against 1% of the traffic sent.
+    let threshold = total_bytes / 100;
     println!("\nflows above 1% of total ({} B threshold):", threshold);
     let mut candidates: Vec<(String, u64)> = elephants
         .iter()
         .map(|(n, _)| n.to_string())
         .chain((0..500).map(|i| format!("flow:mouse-{i}")))
         .map(|name| {
-            let estimate = view.estimate(name.as_bytes());
+            let estimate = match cluster.try_query(name.as_bytes()) {
+                Ok(QueryOutcome::Answer(word)) => increment_decode(&word).unwrap(),
+                other => panic!("{name} was counted, read {other:?}"),
+            };
             (name, estimate)
         })
         .filter(|(_, est)| *est >= threshold)
@@ -108,9 +130,12 @@ fn main() {
         println!(
             "  {name:<20} ~{:>9} B ({:.1}%)",
             estimate,
-            *estimate as f64 / view.total_weight() as f64 * 100.0
+            *estimate as f64 / total_bytes as f64 * 100.0
         );
     }
-    assert_eq!(candidates.len(), 3, "exactly the elephants");
+    assert!(
+        candidates.len() == 3 && candidates.iter().all(|(n, _)| !n.contains("mouse")),
+        "exactly the elephants"
+    );
     println!("\nno switch stored a single per-flow counter.");
 }
