@@ -82,6 +82,17 @@ impl CrcMapping {
             _ => Crc32::ieee(),
         }
     }
+
+    /// The key checksum of `key ‖ value`, streamed through one digest
+    /// instead of a concatenated buffer: equal, bit for bit, to
+    /// `key_checksum` over the two joined.
+    pub fn key_value_checksum(&self, key: &[u8], value: &[u8]) -> u32 {
+        let mut digest = Crc32::ieee().digest();
+        digest.update(&[domain::CHECKSUM]);
+        digest.update(key);
+        digest.update(value);
+        digest.finalize()
+    }
 }
 
 impl AddressMapping for CrcMapping {

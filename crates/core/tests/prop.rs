@@ -208,3 +208,19 @@ proptest! {
         );
     }
 }
+
+proptest! {
+    /// The two-part checksum an event filter digests `key ‖ value` with
+    /// equals the key checksum of the concatenated buffer.
+    #[test]
+    fn key_value_checksum_streams_like_the_concatenated_buffer(
+        key in proptest::collection::vec(any::<u8>(), 0..=64),
+        value in proptest::collection::vec(any::<u8>(), 0..=64),
+    ) {
+        let mapping = CrcMapping::new();
+        prop_assert_eq!(
+            mapping.key_value_checksum(&key, &value),
+            mapping.key_checksum(&prefixed(&key, &value))
+        );
+    }
+}

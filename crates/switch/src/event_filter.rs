@@ -82,10 +82,7 @@ impl EventFilter {
     /// Digest of `(key, value)`; zero is reserved for "empty cell", so
     /// a zero digest is nudged to 1 (a 2⁻³² bias, irrelevant here).
     fn digest(&self, key: &[u8], value: &[u8]) -> u32 {
-        let mut buf = Vec::with_capacity(key.len() + value.len());
-        buf.extend_from_slice(key);
-        buf.extend_from_slice(value);
-        let d = self.mapping.key_checksum(&buf);
+        let d = self.mapping.key_value_checksum(key, value);
         if d == 0 {
             1
         } else {

@@ -122,6 +122,9 @@ pub enum TopologyError {
     InvalidArity(u8),
     /// A host coordinate is out of range.
     InvalidHost(Host),
+    /// Only an aggregation or core switch of the tree can fail: ECMP
+    /// has no alternative to a host's own edge switch.
+    NotFailable(u32),
 }
 
 impl core::fmt::Display for TopologyError {
@@ -129,6 +132,9 @@ impl core::fmt::Display for TopologyError {
         match self {
             TopologyError::InvalidArity(k) => write!(f, "fat-tree arity {k} must be even >= 2"),
             TopologyError::InvalidHost(h) => write!(f, "host {h:?} out of range"),
+            TopologyError::NotFailable(id) => {
+                write!(f, "switch {id} is not an aggregation or core switch")
+            }
         }
     }
 }

@@ -14,15 +14,15 @@
 //!   `dta_collector::CollectorCluster` via the simulated RNIC, and
 //!   queries run against the DMA'd bytes. Nothing is short-circuited:
 //!   a queryability number out of this simulator exercised parser,
-//!   iCRC, PSN, rkey and slot logic on every single report.
-//! * [`events`] — the steady-state regime: long-lived flows under
-//!   change-triggered reporting, with switch failures driving ECMP
-//!   failover and re-reports.
+//!   iCRC, PSN, rkey and slot logic on every single report. The same
+//!   simulator runs the steady-state regime: `FatTreeSim::tick` sends
+//!   one packet of every long-lived flow under change-triggered
+//!   reporting, and `FatTreeSim::fail_switch` drives ECMP failover and
+//!   re-reports.
 
 #![deny(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod events;
 pub mod fattree;
 pub mod flowgen;
 pub mod sim;

@@ -7,6 +7,13 @@
 //! the flow's key and true value are derived, so queries can be
 //! classified as correct / empty / error — the §5 metrics — including
 //! per-age buckets for the Figure 4 aging curves.
+//!
+//! The same switches also run §2's production regime, event-triggered
+//! collection: [`FatTreeSim::tick`] sends one more packet of every flow
+//! run so far, and each sink reports only when its event filter sees a
+//! path change. [`FatTreeSim::fail_switch`] takes an aggregation or core
+//! switch down, so ECMP failover moves paths and the next tick re-reports
+//! exactly the affected flows.
 
 use dta_collector::{CollectorCluster, CollectorHealth, FaultDrops, SweepConfig};
 use dta_core::config::DartConfig;
@@ -17,7 +24,8 @@ use dta_obs::{EventKind, Gauge, Obs};
 use dta_rdma::link::{link, FaultModel, FrameArena, LinkStats, LinkTx};
 use dta_rdma::nic::DropReason;
 use dta_switch::control_plane::{ControlPlane, HealthMonitor, ProbeConfig};
-use dta_switch::egress::EgressConfig;
+use dta_switch::egress::{EgressConfig, SwitchError};
+use dta_switch::event_filter::EventFilter;
 use dta_switch::int_transit::{IntError, IntPacket, IntRole, IntSwitch};
 use dta_switch::SwitchIdentity;
 use dta_wire::dart::ChecksumWidth;
@@ -27,7 +35,7 @@ use dta_wire::FiveTuple;
 
 use dta_telemetry::int_path::PATH_HOPS;
 
-use crate::fattree::{FatTree, Path, TopologyError};
+use crate::fattree::{FatTree, Layer, Path, TopologyError};
 use crate::flowgen::{Flow, FlowGenerator, Skew};
 
 /// How a finished flow's report copies reach the collector.
@@ -132,6 +140,19 @@ impl Default for SimConfig {
         }
     }
 }
+
+/// Report candidates and reports of event-triggered collection
+/// ([`FatTreeSim::tick`]).
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct TickStats {
+    /// Report candidates (one per flow packet reaching its sink).
+    pub candidates: u64,
+    /// Reports emitted (× `N` RDMA WRITEs each).
+    pub reports: u64,
+}
+
+/// Register cells of each sink's event filter.
+const EVENT_FILTER_CELLS: u64 = 1 << 14;
 
 /// Outcome tallies plus per-age buckets.
 #[derive(Debug, Clone, PartialEq)]
@@ -280,6 +301,12 @@ pub struct FatTreeSim {
     /// `LinkStats::dropped` at the last drain, so link-level losses can
     /// be logged as individual events.
     link_dropped_seen: u64,
+    /// Aggregation and core switches taken down by
+    /// [`FatTreeSim::fail_switch`]; every route steers around them.
+    failed: Vec<u32>,
+    /// The event filter of every edge switch (the sink of every route),
+    /// indexed like `switches`; built by the first [`FatTreeSim::tick`].
+    filters: Vec<EventFilter>,
 }
 
 impl FatTreeSim {
@@ -373,6 +400,8 @@ impl FatTreeSim {
             obs,
             link_gauges,
             link_dropped_seen: 0,
+            failed: Vec::new(),
+            filters: Vec::new(),
         })
     }
 
@@ -416,8 +445,7 @@ impl FatTreeSim {
             return value;
         }
         let route = self
-            .tree
-            .route(flow.src, flow.dst, &flow.tuple)
+            .route(flow)
             .expect("recorded flows route within the tree");
         let mut stack = IntStack::new();
         for switch_id in route {
@@ -431,12 +459,14 @@ impl FatTreeSim {
         value
     }
 
-    /// Run one flow end to end; returns its key.
-    pub fn run_flow(&mut self) -> Result<FiveTuple, SimError> {
-        let (flow, id) = self.flowgen.next_flow_and_id();
-        let route = self.tree.route(flow.src, flow.dst, &flow.tuple)?;
+    /// The route `flow`'s packets take now, around failed switches.
+    fn route(&self, flow: &Flow) -> Result<Path, TopologyError> {
+        self.tree
+            .route_with_failures(flow.src, flow.dst, &flow.tuple, &self.failed)
+    }
 
-        // INT accumulation along the path.
+    /// One packet of `flow` accumulating INT along `route`.
+    fn int_packet(&mut self, flow: &Flow, route: &Path) -> Result<IntPacket, IntError> {
         let mut packet = IntPacket::new(flow.tuple);
         for (i, &hop) in route.iter().enumerate() {
             let role = if i == 0 {
@@ -446,6 +476,14 @@ impl FatTreeSim {
             };
             self.switches[switch_index(hop)].process(&mut packet, role)?;
         }
+        Ok(packet)
+    }
+
+    /// Run one flow end to end; returns its key.
+    pub fn run_flow(&mut self) -> Result<FiveTuple, SimError> {
+        let (flow, id) = self.flowgen.next_flow_and_id();
+        let route = self.route(&flow)?;
+        let packet = self.int_packet(&flow, &route)?;
 
         // Sink reporting (the last hop on the route): every frame of the
         // flow is crafted straight into the arena.
@@ -492,6 +530,95 @@ impl FatTreeSim {
         self.advance_faults();
 
         Ok(flow.tuple)
+    }
+
+    /// Take aggregation or core switch `id` down. From now on every route,
+    /// and with it every flow's true value, fails over around it, so the
+    /// next [`FatTreeSim::tick`] re-reports exactly the flows whose path
+    /// moved. An edge switch is refused: its hosts have no other path.
+    pub fn fail_switch(&mut self, id: u32) -> Result<(), TopologyError> {
+        if !matches!(
+            self.tree.layer_of(id),
+            Some(Layer::Aggregation | Layer::Core)
+        ) {
+            return Err(TopologyError::NotFailable(id));
+        }
+        if !self.failed.contains(&id) {
+            self.failed.push(id);
+        }
+        Ok(())
+    }
+
+    /// Every flow run so far, oldest first, with the route its packets
+    /// take now.
+    pub fn routes(&self) -> impl Iterator<Item = (FiveTuple, Path)> + '_ {
+        self.truth_ids.iter().map(|&id| {
+            let flow = self.flowgen.flow_from_id(id);
+            let route = self
+                .route(&flow)
+                .expect("recorded flows route within the tree");
+            (flow.tuple, route)
+        })
+    }
+
+    /// One tick of event-triggered collection (§2): every flow run so far
+    /// sends one packet along its current route through the INT pipeline,
+    /// and its sink's event filter decides whether it reports. A filter
+    /// reports a first sighting, a path change, and a flow whose cell a
+    /// colliding flow overwrote (an extra report, never a missed change).
+    /// A report is all `N` copies, crafted into the arena as
+    /// [`FatTreeSim::run_flow`] crafts them; the link drains and the fault
+    /// machinery advances once per tick. Key-Write only: the other
+    /// primitives return an error.
+    pub fn tick(&mut self) -> Result<TickStats, SimError> {
+        if self.config.primitive != PrimitiveSpec::KeyWrite {
+            return Err(SimError::Switch(IntError::Switch(
+                SwitchError::InvalidPrimitive("event-triggered ticks report Key-Write paths"),
+            )));
+        }
+        if self.filters.is_empty() {
+            let (edges, _, _) = self.tree.layer_counts();
+            self.filters = (0..edges)
+                .map(|_| EventFilter::new(EVENT_FILTER_CELLS))
+                .collect();
+        }
+        let mut stats = TickStats::default();
+        for i in 0..self.truth_ids.len() {
+            let flow = self.flowgen.flow_from_id(self.truth_ids[i]);
+            let route = self.route(&flow)?;
+            let packet = self.int_packet(&flow, &route)?;
+            let sink = switch_index(*route.last().expect("routes are non-empty"));
+            let key = flow.tuple.to_bytes();
+            let mut value = [0u8; PATH_HOPS * 4];
+            packet
+                .stack
+                .write_padded_value_bytes(&mut value)
+                .map_err(|_| SimError::Switch(IntError::StackOverflow))?;
+            stats.candidates += 1;
+            if self.filters[sink].should_report(&key, &value) {
+                stats.reports += 1;
+                self.switches[sink]
+                    .egress_mut()
+                    .craft_into(&key, &value, &mut self.arena)
+                    .map_err(IntError::Switch)?;
+            }
+        }
+        self.drain_link();
+        self.advance_faults();
+        Ok(stats)
+    }
+
+    /// [`TickStats`] summed over every tick so far.
+    pub fn tick_totals(&self) -> TickStats {
+        self.filters
+            .iter()
+            .fold(TickStats::default(), |totals, filter| {
+                let stats = filter.stats();
+                TickStats {
+                    candidates: totals.candidates + stats.reported + stats.suppressed,
+                    reports: totals.reports + stats.reported,
+                }
+            })
     }
 
     /// Put the arena's frames on the link, flush it, and feed every
@@ -639,7 +766,7 @@ impl FatTreeSim {
         use dta_telemetry::postcard::{PostcardBackend, PostcardKey};
 
         let flow = self.flowgen.next_flow();
-        let route = self.tree.route(flow.src, flow.dst, &flow.tuple)?;
+        let route = self.route(&flow)?;
         for (hop, &switch_id) in route.iter().enumerate() {
             let record = PostcardBackend::record(
                 &PostcardKey {
@@ -687,7 +814,7 @@ impl FatTreeSim {
         use dta_telemetry::postcard::{PostcardBackend, PostcardKey};
 
         let flow = self.flowgen.next_flow();
-        let route = self.tree.route(flow.src, flow.dst, &flow.tuple)?;
+        let route = self.route(&flow)?;
         for (hop, &switch_id) in route.iter().enumerate() {
             let key = PostcardBackend::encode_log_key(&PostcardKey {
                 switch_id,
@@ -1167,6 +1294,174 @@ mod tests {
             }
         }
         assert!(lagging > 0, "25% loss must leave some totals lagging");
+    }
+
+    /// 200 long-lived flows for event-triggered collection, each reported
+    /// once by `run_flow` before any tick. The simulator seeds its flow
+    /// generator with `seed ^ 0xF10`, so these are flow-generator seed
+    /// 0x71's first 200 flows.
+    fn event_sim(collectors: u32) -> FatTreeSim {
+        let mut sim = FatTreeSim::new(SimConfig {
+            slots: 1 << 14,
+            collectors,
+            seed: 0x71 ^ 0xF10,
+            ..SimConfig::default()
+        })
+        .unwrap();
+        sim.run_flows(200).unwrap();
+        sim
+    }
+
+    /// The path an operator query returns for `tuple`.
+    fn queried_path(sim: &FatTreeSim, tuple: &FiveTuple) -> Option<Vec<u32>> {
+        match sim.try_query_flow(tuple).ok()? {
+            QueryOutcome::Answer(value) => {
+                dta_telemetry::int_path::IntPathBackend::decode_path(&value).ok()
+            }
+            QueryOutcome::Empty => None,
+        }
+    }
+
+    #[test]
+    fn steady_state_suppresses_almost_everything() {
+        let mut sim = event_sim(1);
+        let first = sim.tick().unwrap();
+        assert_eq!(first.candidates, 200);
+        assert_eq!(first.reports, 200, "first sighting always reports");
+        for _ in 0..20 {
+            let tick = sim.tick().unwrap();
+            // Direct-mapped filter cells can collide (two flows evicting
+            // each other's digests every tick) — extra reports, never
+            // missed changes. Allow a handful.
+            assert!(
+                tick.reports <= 4,
+                "stable paths mostly suppressed, got {}",
+                tick.reports
+            );
+        }
+        let totals = sim.tick_totals();
+        assert_eq!(totals.candidates, 21 * 200);
+        assert!(totals.reports < 200 + 21 * 4);
+    }
+
+    #[test]
+    fn failure_triggers_rereports_with_new_paths() {
+        for collectors in [1, 4] {
+            let mut sim = event_sim(collectors);
+            sim.tick().unwrap();
+
+            // Pick a core switch actually used by some flows.
+            let used_core = sim
+                .routes()
+                .map(|(_, route)| route)
+                .find(|route| route.len() == 5)
+                .expect("some inter-pod flow exists")[2];
+            let affected: Vec<_> = sim
+                .routes()
+                .filter(|(_, route)| route.contains(&used_core))
+                .map(|(tuple, _)| tuple)
+                .collect();
+            assert!(!affected.is_empty());
+
+            // Baseline flapping from filter-cell collisions (constant per
+            // tick for a fixed flow population).
+            let baseline = sim.tick().unwrap().reports;
+
+            sim.fail_switch(used_core).unwrap();
+            let tick = sim.tick().unwrap();
+            // The affected flows re-report (plus the collision baseline).
+            assert!(
+                tick.reports >= affected.len() as u64
+                    && tick.reports <= affected.len() as u64 + baseline + 2,
+                "{collectors} collectors: reports {} vs affected {}",
+                tick.reports,
+                affected.len()
+            );
+
+            // Queries now return the new path, which avoids the failed core.
+            for tuple in &affected {
+                let path = queried_path(&sim, tuple).expect("reported flows queryable");
+                assert!(
+                    !path.contains(&used_core),
+                    "{collectors} collectors: query returned the pre-failure path"
+                );
+            }
+            // And the next tick returns to the collision baseline.
+            assert!(sim.tick().unwrap().reports <= baseline + 2);
+            // Ground truth follows the failover: every flow answers its
+            // current path.
+            let report = sim.query_all(1);
+            assert_eq!(report.error, 0, "{collectors} collectors");
+            assert_eq!(report.correct, 200, "{collectors} collectors");
+        }
+    }
+
+    #[test]
+    fn unaffected_flows_stay_silent_on_failure() {
+        let mut sim = event_sim(1);
+        sim.tick().unwrap();
+        // Fail a core nobody currently uses (find one).
+        let used: std::collections::HashSet<u32> =
+            sim.routes().flat_map(|(_, route)| route).collect();
+        let all_cores: Vec<u32> = (0..2)
+            .flat_map(|a| (0..2).map(move |c| (a, c)))
+            .map(|(a, c)| FatTree::new(4).unwrap().core_id(a, c))
+            .collect();
+        let baseline = sim.tick().unwrap().reports;
+        if let Some(&unused) = all_cores.iter().find(|c| !used.contains(c)) {
+            sim.fail_switch(unused).unwrap();
+            assert!(sim.tick().unwrap().reports <= baseline + 2);
+        }
+    }
+
+    #[test]
+    fn suppression_ratio_matches_section2_motivation() {
+        // Per-packet reporting would be candidates; event detection cuts
+        // it to ~flows/(flows × ticks) — a ~99% reduction in this run.
+        let mut sim = event_sim(1);
+        for _ in 0..100 {
+            sim.tick().unwrap();
+        }
+        let t = sim.tick_totals();
+        let ratio = t.reports as f64 / t.candidates as f64;
+        assert!(ratio < 0.011, "report ratio {ratio}");
+    }
+
+    #[test]
+    fn only_aggregation_and_core_switches_can_fail() {
+        let mut sim = event_sim(1);
+        let tree = sim.tree();
+        let edge = tree.edge_id(0, 0);
+        for id in [0, edge, tree.switch_count() + 1, u32::MAX] {
+            assert_eq!(sim.fail_switch(id), Err(TopologyError::NotFailable(id)));
+        }
+        sim.fail_switch(tree.agg_id(0, 0)).unwrap();
+        sim.fail_switch(tree.core_id(1, 1)).unwrap();
+        // A refused edge switch stays up: every flow it sinks still
+        // routes to it.
+        assert!(sim.routes().any(|(_, route)| route.last() == Some(&edge)));
+    }
+
+    #[test]
+    fn ticks_need_key_write() {
+        for primitive in [
+            PrimitiveSpec::KeyIncrement,
+            PrimitiveSpec::Append { ring_capacity: 4 },
+        ] {
+            let mut sim = FatTreeSim::new(SimConfig {
+                primitive,
+                slots: 1 << 12,
+                ..SimConfig::default()
+            })
+            .unwrap();
+            sim.run_flows(10).unwrap();
+            assert!(matches!(
+                sim.tick(),
+                Err(SimError::Switch(IntError::Switch(
+                    SwitchError::InvalidPrimitive(_)
+                )))
+            ));
+        }
     }
 
     #[test]

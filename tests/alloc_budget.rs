@@ -29,7 +29,9 @@
 //!   location, 0 for an empty return or an unreachable collector;
 //! * an Append window read (`try_query` on a listkey): the same — 1 for
 //!   the concatenated window, 0 for an empty ring;
-//! * a data packet crossing five INT hops: none (the stack is inline).
+//! * a data packet crossing five INT hops: none (the stack is inline);
+//! * a steady event-triggered `FatTreeSim::tick`, in which no path
+//!   changes: none.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
@@ -517,6 +519,30 @@ fn flow_generator_peak_is_at_most_twenty_bytes_per_flow() {
         per_flow <= 20.0,
         "{per_flow:.2} B per flow at peak ({peak} B over {FLOWS} flows)"
     );
+}
+
+/// Event-triggered collection in steady state: a tick in which no path
+/// changes rebuilds each flow from its packed id, carries one packet
+/// through INT and digests its path in the sink's event filter, all
+/// inline. With the filters built and the arena warm, it allocates
+/// nothing, whatever filter-cell collisions re-report.
+#[test]
+fn steady_event_tick_allocates_nothing() {
+    const FLOWS: u64 = 1 << 12;
+    let mut sim = FatTreeSim::new(SimConfig {
+        k: 8,
+        slots: SLOTS,
+        collectors: 4,
+        ..SimConfig::default()
+    })
+    .unwrap();
+    sim.run_flows(FLOWS).unwrap();
+    let cold = sim.tick().unwrap();
+    assert_eq!(cold.reports, FLOWS, "the cold tick reports every flow");
+    let (stats, allocs) = allocs_during(|| sim.tick());
+    let stats = stats.unwrap();
+    assert_eq!(stats.candidates, FLOWS);
+    assert_eq!(allocs, 0, "steady tick: {stats:?}");
 }
 
 /// `query_all` rebuilds every flow's key and true value inline: beyond
