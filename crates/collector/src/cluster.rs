@@ -535,6 +535,7 @@ impl CollectorCluster {
 
     /// The collector directory, in dense collector-ID order — exactly
     /// what the switch control plane installs (§3.2's lookup table).
+    /// Each entry names its collector's live region.
     ///
     /// All entries share each collector's initial QP; use
     /// [`CollectorCluster::directory_for_switch`] when multiple switches
@@ -565,6 +566,18 @@ impl CollectorCluster {
             .iter_mut()
             .map(|c| c.allocate_switch_qp_from(start_psn))
             .collect()
+    }
+
+    /// Seal every collector's live epoch (§5.2.1) and return its id,
+    /// which collectors rotated only here share;
+    /// [`CollectorCluster::directory`] then lists the new live regions.
+    /// Refused while a recovery sweep runs: its writes name the old one.
+    pub fn rotate_epoch(&mut self) -> Result<u64, DartError> {
+        if self.active_sweeps() > 0 {
+            return Err(DartError::SweepInProgress);
+        }
+        let sealed = self.collectors.iter_mut().map(|c| c.rotate_epoch());
+        Ok(sealed.max().unwrap_or(0))
     }
 
     /// Number of collectors.
@@ -1864,6 +1877,82 @@ mod tests {
             explain.outcome,
             Err(QueryError::CollectorUnreachable { collector: primary })
         );
+    }
+
+    #[test]
+    fn ten_rotations_keep_three_regions_and_archive_the_rest() {
+        use crate::dart_collector::DRAM_EPOCHS;
+        use dta_switch::control_plane::ControlPlane;
+        use dta_switch::egress::{DartEgress, EgressConfig};
+
+        let mut cluster = CollectorCluster::new(config(2)).unwrap();
+        let mut egress = DartEgress::new(
+            dta_switch::SwitchIdentity::derived(3),
+            EgressConfig {
+                copies: 2,
+                slots: 1024,
+                layout: cluster.config.layout,
+                collectors: 2,
+                udp_src_port: 49152,
+                primitive: PrimitiveSpec::KeyWrite,
+            },
+            3,
+        )
+        .unwrap();
+        ControlPlane::new()
+            .install_directory(&mut egress, &cluster.directory_for_switch())
+            .unwrap();
+        let keys: Vec<[u8; 8]> = (0..16u64)
+            .map(|i| i.wrapping_mul(0x9E37_79B9_7F4A_7C15).to_be_bytes())
+            .collect();
+        for epoch in 0..10u8 {
+            for key in &keys {
+                for report in egress.craft(key, &[epoch; 20]).unwrap() {
+                    cluster.deliver(&report.frame);
+                }
+            }
+            assert_eq!(cluster.rotate_epoch(), Ok(u64::from(epoch)));
+            egress.repoint_collectors(&cluster.directory()).unwrap();
+        }
+        for index in 0..2 {
+            let collector = cluster.collector(index).unwrap();
+            assert!(collector.registered_regions() <= 1 + DRAM_EPOCHS);
+            assert_eq!(collector.archived_epochs(), (0..8).collect::<Vec<_>>());
+            assert_eq!(collector.dram_epochs(), vec![8, 9]);
+        }
+        for key in &keys {
+            let owner = cluster.collector(cluster.collector_of(key)).unwrap();
+            for epoch in 0..10u8 {
+                assert_eq!(
+                    owner.query_epoch(u64::from(epoch), key),
+                    Ok(QueryOutcome::Answer(vec![epoch; 20]))
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn rotation_waits_for_the_recovery_sweep() {
+        let mut cluster = CollectorCluster::new(config(2)).unwrap();
+        let mut outage = LivenessMask::all_live(2);
+        outage.set_live(0, false);
+        let record = FailoverRecord {
+            primary: 0,
+            target: 1,
+            key: b"k".to_vec(),
+        };
+        cluster.schedule_rerepl(0, outage, vec![record], &[], SweepConfig::default(), 0);
+        assert_eq!(cluster.active_sweeps(), 1);
+        assert_eq!(cluster.rotate_epoch(), Err(DartError::SweepInProgress));
+        assert_eq!(cluster.collector(0).unwrap().epoch(), 0);
+        let mut now = 0;
+        while cluster.active_sweeps() > 0 {
+            now += 1;
+            assert!(now < 10_000, "the sweep must finish");
+            cluster.rerepl_tick(now);
+        }
+        assert_eq!(cluster.rotate_epoch(), Ok(0));
+        assert_eq!(cluster.collector(1).unwrap().epoch(), 1);
     }
 
     #[test]

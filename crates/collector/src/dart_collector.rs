@@ -4,12 +4,16 @@
 //! bring up a UC queue pair, export the endpoint descriptor. From then on
 //! every switch report is absorbed by [`DartCollector::receive_frame`]
 //! (the NIC data path) and the CPU only runs [`DartCollector::query`].
+//! History (§5.2.1) rotates among at most `1 + DRAM_EPOCHS` regions
+//! registered with the NIC (see [`DartCollector::rotate_epoch`]).
+
+use std::collections::VecDeque;
 
 use dta_core::config::DartConfig;
 use dta_core::query::{DecisionReason, QueryOutcome, ReturnPolicy};
 use dta_core::store::{OwnedQueryEngine, ProbeTrace, StoreExplain};
 use dta_core::{DartError, PrimitiveSpec};
-use dta_rdma::mr::{AccessFlags, CommitKind, MemoryHandle};
+use dta_rdma::mr::{AccessFlags, CommitKind, MemoryHandle, MemoryRegion};
 use dta_rdma::nic::{NicCounters, RxOutcome};
 use dta_rdma::verbs::{Device, RemoteEndpoint};
 use dta_wire::roce::Psn;
@@ -17,6 +21,10 @@ use dta_wire::{ethernet, ipv4};
 
 /// Virtual base address collectors register their telemetry region at.
 pub const REGION_BASE_VA: u64 = 0x4000_0000;
+
+/// Sealed epochs a collector keeps in registered DRAM before the oldest
+/// drains to the persistent tier and its region is reused.
+pub const DRAM_EPOCHS: usize = 2;
 
 /// The QPN collector-side RC queue pairs name as their peer. Switch
 /// pipelines have no receive QP — ACKs for Key-Increment FETCH_ADDs are
@@ -36,11 +44,17 @@ fn commit_kind(primitive: PrimitiveSpec) -> CommitKind {
 pub struct DartCollector {
     index: u32,
     device: Device,
+    /// The initial queue pair and the live region's rkey and base VA.
     endpoint: RemoteEndpoint,
     handle: MemoryHandle,
     engine: OwnedQueryEngine,
-    /// Sealed epoch snapshots, oldest first (§5.2.1's historical tier).
-    epochs: Vec<Vec<u8>>,
+    /// The live epoch's id; never reused, crashes included.
+    epoch: u64,
+    /// Sealed regions in DRAM as `(epoch, rkey)`, oldest first; the
+    /// epoch is `None` once a crash wiped it.
+    sealed: VecDeque<(Option<u64>, u32)>,
+    /// The persistent tier, which survives crashes: `(epoch, bytes)`.
+    archive: Vec<(u64, Vec<u8>)>,
 }
 
 impl DartCollector {
@@ -73,7 +87,9 @@ impl DartCollector {
             endpoint,
             handle,
             engine,
-            epochs: Vec::new(),
+            epoch: 0,
+            sealed: VecDeque::new(),
+            archive: Vec::new(),
         })
     }
 
@@ -169,8 +185,7 @@ impl DartCollector {
         self.with_view(|view| view.query_explain(key, policy))
     }
 
-    /// Direct read access to the telemetry region (for snapshots /
-    /// epoch sealing).
+    /// Direct read access to the live telemetry region.
     pub fn memory(&self) -> &MemoryHandle {
         &self.handle
     }
@@ -190,8 +205,8 @@ impl DartCollector {
     }
 
     /// Host-side tombstone: zero `len` bytes at virtual address `va` in
-    /// the telemetry region. This is the *local* CPU acting on its own
-    /// DRAM (like [`DartCollector::rotate_epoch`]'s wipe) — no remote
+    /// the live region. This is the *local* CPU acting on its own
+    /// DRAM (like [`DartCollector::rotate_epoch`]'s reuse) — no remote
     /// permissions are involved, so the collector rkey stays write/atomic
     /// only. The recovery sweep uses it to retire stranded failover
     /// copies once their write-back to the recovered primary is ACKed.
@@ -199,32 +214,65 @@ impl DartCollector {
         self.device.nic().host_zero(self.endpoint.rkey, va, len)
     }
 
-    /// Seal the current epoch (§5.2.1): snapshot the region into the
-    /// historical tier and zero it for the next epoch. Returns the
-    /// sealed epoch's id. Switches keep writing throughout — reports
-    /// racing the rotation simply land in the fresh epoch.
+    /// Seal the live epoch (§5.2.1) and return its id. The live region
+    /// joins the DRAM ring, still registered, so a report crafted before
+    /// the flip and delivered after it lands in the epoch it addressed.
+    /// The new live region is registered while the ring fills, then is
+    /// the oldest sealed region: its epoch drains to the persistent tier
+    /// and the host zeroes it. QPs and PSNs are untouched; switches
+    /// re-point their rows at [`DartCollector::endpoint`].
     pub fn rotate_epoch(&mut self) -> u64 {
-        let snapshot = self.handle.snapshot();
-        self.epochs.push(snapshot);
-        // The host zeroes its own memory; the NIC's rkey/QP state is
-        // untouched, so ingestion continues without renegotiation.
-        if let Some(mr) = self.device.nic().mr(self.endpoint.rkey) {
-            mr.zero();
-        }
-        (self.epochs.len() - 1) as u64
+        let len = self.handle.len();
+        let next = if self.sealed.len() == DRAM_EPOCHS {
+            let (epoch, rkey) = self.sealed.pop_front().expect("the ring is full");
+            let oldest = self.region(rkey);
+            if let Some(epoch) = epoch {
+                self.archive.push((epoch, oldest.handle().snapshot()));
+            }
+            let zeroed = self.device.nic().host_zero(rkey, oldest.base_va(), len);
+            zeroed.expect("in bounds");
+            oldest
+        } else {
+            let stride = (len as u64).next_multiple_of(4096);
+            let base_va = REGION_BASE_VA + (1 + self.sealed.len() as u64) * stride;
+            let commit = commit_kind(self.engine.config().primitive);
+            let access = AccessFlags::DART_COLLECTOR;
+            let registered = self
+                .device
+                .register_region_with_commit(base_va, len, access, commit);
+            self.region(registered.expect("rkeys are allocated fresh").0)
+        };
+        self.handle = next.handle();
+        self.endpoint.base_va = next.base_va();
+        let sealed = std::mem::replace(&mut self.endpoint.rkey, next.rkey());
+        self.sealed.push_back((Some(self.epoch), sealed));
+        self.epoch += 1;
+        self.epoch - 1
     }
 
-    /// Wipe this collector's state as a crash-restart would: the
-    /// telemetry region is zeroed and every sealed epoch snapshot is
-    /// gone (they lived in the same DRAM). NIC registrations and QPNs
-    /// survive — the model for the control plane re-establishing the
-    /// same rkey/QPN layout on the replacement host. Call
-    /// [`DartCollector::resync_qps`] to re-handshake their PSNs.
+    /// A region this collector registered (they stay registered).
+    fn region(&self, rkey: u32) -> MemoryRegion {
+        let mr = self.device.nic().mr(rkey);
+        mr.expect("collector regions stay registered").clone()
+    }
+
+    /// Wipe this collector's state as a crash-restart would: the live
+    /// region is zeroed and the sealed epochs in DRAM are lost (their
+    /// regions are zeroed on reuse); the persistent tier and the epoch
+    /// counter survive. NIC registrations and QPNs survive — the model
+    /// for the control plane re-establishing the same rkey/QPN layout on
+    /// the replacement host. Call [`DartCollector::resync_qps`] to
+    /// re-handshake their PSNs.
     pub fn wipe_memory(&mut self) {
-        self.epochs.clear();
-        if let Some(mr) = self.device.nic().mr(self.endpoint.rkey) {
-            mr.zero();
+        for (epoch, _) in &mut self.sealed {
+            *epoch = None;
         }
+        let (rkey, base_va) = (self.endpoint.rkey, self.endpoint.base_va);
+        let zeroed = self
+            .device
+            .nic()
+            .host_zero(rkey, base_va, self.handle.len());
+        zeroed.expect("in bounds");
     }
 
     /// Re-handshake every switch queue pair with its sender's PSN
@@ -237,16 +285,42 @@ impl DartCollector {
         self.device.nic_mut().resync_qps();
     }
 
-    /// Sealed epochs available for historical queries.
-    pub fn sealed_epochs(&self) -> u64 {
-        self.epochs.len() as u64
+    /// The live epoch's id, which is also the number of epochs sealed.
+    pub fn epoch(&self) -> u64 {
+        self.epoch
     }
 
-    /// Query a key within a sealed historical epoch.
+    /// Ids of the sealed epochs still in DRAM, oldest first.
+    pub fn dram_epochs(&self) -> Vec<u64> {
+        self.sealed.iter().filter_map(|(epoch, _)| *epoch).collect()
+    }
+
+    /// Ids of the epochs in the persistent tier, oldest first.
+    pub fn archived_epochs(&self) -> Vec<u64> {
+        self.archive.iter().map(|(epoch, _)| *epoch).collect()
+    }
+
+    /// Memory regions registered with the NIC (live plus sealed).
+    pub fn registered_regions(&self) -> usize {
+        self.device.nic().registered_regions()
+    }
+
+    /// Query a key within `epoch`: the live region, then the DRAM ring,
+    /// then the persistent tier.
     pub fn query_epoch(&self, epoch: u64, key: &[u8]) -> Result<QueryOutcome, DartError> {
-        let memory = self
-            .epochs
-            .get(epoch as usize)
+        if epoch == self.epoch {
+            return Ok(self.query(key));
+        }
+        if let Some(&(_, rkey)) = self.sealed.iter().find(|(e, _)| *e == Some(epoch)) {
+            return self
+                .region(rkey)
+                .handle()
+                .with(|memory| Ok(self.engine.view(memory)?.query(key)));
+        }
+        let (_, memory) = self
+            .archive
+            .iter()
+            .find(|(id, _)| *id == epoch)
             .ok_or(DartError::UnknownEpoch(epoch))?;
         Ok(self.engine.view(memory)?.query(key))
     }
@@ -265,7 +339,10 @@ impl core::fmt::Debug for DartCollector {
 mod tests {
     use super::*;
     use dta_core::hash::MappingKind;
+    use dta_core::primitive::increment_encode;
     use dta_rdma::nic::RxAction;
+    use dta_switch::egress::{DartEgress, EgressConfig};
+    use dta_switch::SwitchIdentity;
     use dta_wire::dart::SlotLayout;
     use dta_wire::roce::{BthRepr, Opcode, RethRepr, RoceRepr};
 
@@ -372,7 +449,7 @@ mod tests {
 
         let sealed = collector.rotate_epoch();
         assert_eq!(sealed, 0);
-        assert_eq!(collector.sealed_epochs(), 1);
+        assert_eq!(collector.epoch(), 1);
         // Active region is fresh...
         assert_eq!(collector.query(b"epoch-key"), QueryOutcome::Empty);
         // ...but the history still answers.
@@ -405,6 +482,176 @@ mod tests {
                 .query_explain(b"after", dta_core::query::ReturnPolicy::FirstMatch)
                 .outcome,
             QueryOutcome::Answer(vec![2u8; 20])
+        );
+    }
+
+    /// A one-collector switch pipeline reporting into `collector` on a
+    /// queue pair of its own, and that queue pair's number.
+    fn switch_for(collector: &mut DartCollector) -> (DartEgress, u32) {
+        let config = collector.engine.config().clone();
+        let mut egress = DartEgress::new(
+            SwitchIdentity::derived(1),
+            EgressConfig {
+                copies: config.copies,
+                slots: config.slots,
+                layout: config.layout,
+                collectors: 1,
+                udp_src_port: 49152,
+                primitive: config.primitive,
+            },
+            7,
+        )
+        .unwrap();
+        let qp = collector.allocate_switch_qp();
+        egress.install_collector(0, qp).unwrap();
+        (egress, qp.qpn)
+    }
+
+    /// Craft `key`'s report before the flip, rotate, re-point the
+    /// switch, deliver it after the flip: it must land in the sealed
+    /// epoch, leave the live one empty, and cost no PSN drop.
+    fn flip_with_report_in_flight(config: DartConfig, value: &[u8], answer: &[u8]) {
+        let mut collector = DartCollector::new(0, config).unwrap();
+        let (mut egress, qpn) = switch_for(&mut collector);
+        let in_flight = egress.craft(b"k", value).unwrap();
+        let sealed = collector.rotate_epoch();
+        egress.repoint_collectors(&[collector.endpoint()]).unwrap();
+        for report in &in_flight {
+            let action = collector.receive_frame(&report.frame).action;
+            assert!(
+                matches!(
+                    action,
+                    RxAction::WriteExecuted { .. } | RxAction::AtomicExecuted { .. }
+                ),
+                "{action:?}"
+            );
+        }
+        assert_eq!(
+            collector.query_epoch(sealed, b"k").unwrap(),
+            QueryOutcome::Answer(answer.to_vec())
+        );
+        assert_eq!(collector.query(b"k"), QueryOutcome::Empty);
+        // The re-pointed switch writes the live epoch on the same QP.
+        for report in egress.craft(b"k", value).unwrap() {
+            collector.receive_frame(&report.frame);
+        }
+        assert_eq!(collector.query(b"k"), QueryOutcome::Answer(answer.to_vec()));
+        let qp = collector.qp_counters(qpn).unwrap();
+        assert_eq!((qp.dropped, qp.psn_gaps), (0, 0));
+    }
+
+    #[test]
+    fn key_write_over_uc_lands_in_the_epoch_it_addressed() {
+        flip_with_report_in_flight(config(), &[9u8; 20], &[9u8; 20]);
+    }
+
+    #[test]
+    fn key_increment_over_rc_lands_in_the_epoch_it_addressed() {
+        let config = DartConfig::builder()
+            .slots(1024)
+            .copies(2)
+            .mapping(MappingKind::Crc)
+            .primitive(PrimitiveSpec::KeyIncrement)
+            .build()
+            .unwrap();
+        let delta = increment_encode(5);
+        flip_with_report_in_flight(config, &delta, &delta);
+    }
+
+    #[test]
+    fn append_window_after_the_flip_holds_only_new_entries() {
+        let config = DartConfig::builder()
+            .slots(1024)
+            .copies(1)
+            .value_len(4)
+            .mapping(MappingKind::Crc)
+            .primitive(PrimitiveSpec::Append { ring_capacity: 8 })
+            .build()
+            .unwrap();
+        let mut collector = DartCollector::new(0, config).unwrap();
+        let (mut egress, _) = switch_for(&mut collector);
+        let append = |collector: &mut DartCollector, egress: &mut DartEgress, entry: &[u8]| {
+            let report = egress.craft_append(b"log", entry).unwrap();
+            collector.receive_frame(&report.frame);
+        };
+        for entry in [b"old1", b"old2", b"old3"] {
+            append(&mut collector, &mut egress, entry);
+        }
+        let sealed = collector.rotate_epoch();
+        egress.repoint_collectors(&[collector.endpoint()]).unwrap();
+        for entry in [b"new1", b"new2"] {
+            append(&mut collector, &mut egress, entry);
+        }
+        assert_eq!(
+            collector.query(b"log"),
+            QueryOutcome::Answer(b"new1new2".to_vec())
+        );
+        assert_eq!(
+            collector.query_epoch(sealed, b"log").unwrap(),
+            QueryOutcome::Answer(b"old1old2old3".to_vec())
+        );
+    }
+
+    /// Write `key = [tag; 20]` into the live epoch.
+    fn write_tagged(collector: &mut DartCollector, key: &[u8], tag: u8) {
+        let (mut egress, _) = switch_for(collector);
+        for report in egress.craft(key, &[tag; 20]).unwrap() {
+            collector.receive_frame(&report.frame);
+        }
+    }
+
+    #[test]
+    fn oldest_sealed_region_drains_to_the_archive_and_is_reused() {
+        let mut collector = DartCollector::new(0, config()).unwrap();
+        for epoch in 0..3u8 {
+            write_tagged(&mut collector, b"k", epoch);
+            collector.rotate_epoch();
+        }
+        // Epoch 0 drained; its region, zeroed, holds live epoch 3.
+        assert_eq!(collector.archived_epochs(), vec![0]);
+        assert_eq!(collector.dram_epochs(), vec![1, 2]);
+        assert_eq!(collector.registered_regions(), 1 + DRAM_EPOCHS);
+        assert_eq!(collector.query(b"k"), QueryOutcome::Empty);
+        write_tagged(&mut collector, b"k", 3);
+        for epoch in 0..4u8 {
+            assert_eq!(
+                collector.query_epoch(u64::from(epoch), b"k").unwrap(),
+                QueryOutcome::Answer(vec![epoch; 20])
+            );
+        }
+    }
+
+    #[test]
+    fn epoch_ids_survive_a_crash() {
+        let mut collector = DartCollector::new(0, config()).unwrap();
+        for epoch in 0..3u8 {
+            write_tagged(&mut collector, b"k", epoch);
+            collector.rotate_epoch();
+        }
+        // Archive [0], DRAM [1, 2], live 3. The crash loses DRAM only.
+        collector.wipe_memory();
+        assert_eq!(
+            collector.query_epoch(0, b"k").unwrap(),
+            QueryOutcome::Answer(vec![0; 20])
+        );
+        for lost in [1, 2] {
+            assert_eq!(
+                collector.query_epoch(lost, b"k"),
+                Err(DartError::UnknownEpoch(lost))
+            );
+        }
+        // The next id is fresh, so id 0 still names the archived epoch.
+        write_tagged(&mut collector, b"k", 3);
+        assert_eq!(collector.rotate_epoch(), 3);
+        assert_eq!(collector.dram_epochs(), vec![3]);
+        assert_eq!(collector.archived_epochs(), vec![0]);
+        assert_eq!(
+            collector.query_epoch(3, b"k").unwrap(),
+            QueryOutcome::Answer(vec![3; 20])
+        );
+        assert_eq!(
+            collector.query_epoch(0, b"k").unwrap(),
+            QueryOutcome::Answer(vec![0; 20])
         );
     }
 

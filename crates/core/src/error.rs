@@ -28,6 +28,9 @@ pub enum DartError {
     },
     /// An epoch id referenced historical data that does not exist.
     UnknownEpoch(u64),
+    /// An epoch rotation was refused: a recovery sweep still addresses
+    /// the live region.
+    SweepInProgress,
 }
 
 impl core::fmt::Display for DartError {
@@ -44,6 +47,7 @@ impl core::fmt::Display for DartError {
                 write!(f, "memory is {actual} bytes, geometry needs {expected}")
             }
             DartError::UnknownEpoch(id) => write!(f, "unknown epoch {id}"),
+            DartError::SweepInProgress => write!(f, "a recovery sweep is in progress"),
         }
     }
 }

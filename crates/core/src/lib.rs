@@ -18,9 +18,10 @@
 //! lives in a `Vec<u8>` for simulation or inside a registered RDMA memory
 //! region written by switches (see `dta-rdma` / `dta-collector`).
 //!
-//! Extensions from the paper's discussion section are also here: the
-//! write-then-compare-and-swap strategy ([`cas`], §7) and epoch-based
-//! historical storage ([`epoch`], §5.2.1).
+//! The write-then-compare-and-swap strategy of the paper's discussion
+//! section ([`cas`], §7) is also here. Epoch-based historical storage
+//! (§5.2.1) rotates registered collector regions, so it lives with the
+//! NIC in `dta_collector::DartCollector`.
 //!
 //! ```
 //! use dta_core::{config::DartConfig, store::DartStore, query::QueryOutcome};
@@ -45,7 +46,6 @@
 pub mod adaptive;
 pub mod cas;
 pub mod config;
-pub mod epoch;
 pub mod error;
 pub mod hash;
 pub mod primitive;

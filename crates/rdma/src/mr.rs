@@ -225,13 +225,6 @@ impl MemoryRegion {
         Ok(self.bytes.read()[off..off + len].to_vec())
     }
 
-    /// Host-side zeroing of the whole region (epoch rotation, §5.2.1 —
-    /// the owning host may always write its own memory; remote access
-    /// rules don't apply).
-    pub fn zero(&self) {
-        self.bytes.write().fill(0);
-    }
-
     /// Host-side zeroing of `[va, va+len)` — the tombstone operation of
     /// the recovery re-replication sweep. Only bounds are checked (the
     /// owning host may always write its own memory), so a stranded

@@ -377,6 +377,11 @@ impl RNic {
         self.mrs.get(rkey)
     }
 
+    /// Number of registered memory regions.
+    pub fn registered_regions(&self) -> usize {
+        self.mrs.len()
+    }
+
     /// Host-side zeroing of `[va, va+len)` inside a registered region —
     /// how a collector tombstones a stranded failover slot after the
     /// recovery sweep's write-back is ACKed. This is the owning host

@@ -337,6 +337,26 @@ impl DartEgress {
             .map_err(|InstallError::Full| SwitchError::TableFull)
     }
 
+    /// Control-plane write after an epoch rotation (§5.2.1): each
+    /// collector row takes the rkey and base VA of the live region
+    /// `directory` lists for it. QPs stay, so PSN registers are kept.
+    pub fn repoint_collectors(&mut self, directory: &[RemoteEndpoint]) -> Result<(), SwitchError> {
+        for (id, live) in (0u32..).zip(directory) {
+            let row = self.collector_table.peek(id);
+            let row = *row.ok_or(SwitchError::UnknownCollector(id))?;
+            let (rkey, base_va) = (live.rkey, live.base_va);
+            let row = RemoteEndpoint {
+                rkey,
+                base_va,
+                ..row
+            };
+            self.collector_table
+                .install(id, row)
+                .expect("the row exists");
+        }
+        Ok(())
+    }
+
     /// Control-plane write of one collector's liveness register. The
     /// health monitor calls this on every state flip; the data plane only
     /// ever reads it.
@@ -1039,6 +1059,35 @@ mod tests {
         assert_eq!(r0.psn, Psn::new(0));
         assert_eq!(r1.psn, Psn::new(1));
         assert_eq!(e.counters().reports, 2);
+    }
+
+    #[test]
+    fn repoint_moves_rkey_and_base_but_keeps_the_psn() {
+        let mut e = egress();
+        e.craft_report_copy(b"k", &[0u8; 20], 0).unwrap();
+        let next_region = RemoteEndpoint {
+            qpn: 0x999,
+            rkey: 0x1001,
+            base_va: 0x20000,
+            start_psn: Psn::new(77),
+            ..endpoint()
+        };
+        e.repoint_collectors(&[next_region]).unwrap();
+        let report = e.craft_report_copy(b"k", &[0u8; 20], 0).unwrap();
+        assert_eq!(report.psn, Psn::new(1));
+        let eth = ethernet::Frame::new_checked(&report.frame[..]).unwrap();
+        let ip = ipv4::Packet::new_checked(eth.payload()).unwrap();
+        let udp = dta_wire::udp::Datagram::new_checked(ip.payload()).unwrap();
+        let body = &udp.payload()[..udp.payload().len() - roce::ICRC_LEN];
+        let Ok(roce::RoceView::Write { bth, reth, .. }) = roce::RoceView::parse(body) else {
+            panic!("a Key-Write report is an RDMA WRITE");
+        };
+        assert_eq!((bth.dest_qp, reth.rkey), (0x100, 0x1001));
+        assert_eq!(reth.virtual_addr, 0x20000 + report.slot * 24);
+        assert_eq!(
+            e.repoint_collectors(&[next_region, next_region]),
+            Err(SwitchError::UnknownCollector(1))
+        );
     }
 
     #[test]

@@ -5,80 +5,98 @@
 //! cargo run --release --example historical_epochs
 //! ```
 //!
-//! DRAM absorbs line-rate RDMA writes but is finite; history lives in
-//! epochs. This example rotates the active region every "minute",
-//! keeps two sealed epochs hot in DRAM, archives older ones to the slow
-//! persistent tier, and then answers a historical query about a flow
-//! that misbehaved three epochs ago.
+//! A switch reports into a two-collector cluster whose NIC-registered
+//! regions rotate every "minute": the live region is sealed, the
+//! switch's collector rows are re-pointed at a fresh one, two sealed
+//! epochs stay hot in DRAM and older ones drain to the slow persistent
+//! tier. The operator then asks what a flow did three epochs ago.
 
+use direct_telemetry_access::collector::CollectorCluster;
 use direct_telemetry_access::core::config::DartConfig;
-use direct_telemetry_access::core::epoch::EpochStore;
+use direct_telemetry_access::core::hash::MappingKind;
 use direct_telemetry_access::core::query::QueryOutcome;
-
-fn value(tag: u8) -> Vec<u8> {
-    let mut v = vec![tag; 20];
-    v[0] = 0xEE;
-    v
-}
+use direct_telemetry_access::switch::control_plane::ControlPlane;
+use direct_telemetry_access::switch::egress::{DartEgress, EgressConfig};
+use direct_telemetry_access::switch::SwitchIdentity;
 
 fn main() {
     let config = DartConfig::builder()
         .slots(1 << 12)
         .copies(2)
+        .collectors(2)
+        .mapping(MappingKind::Crc)
         .build()
         .unwrap();
-    // Keep at most 2 sealed epochs in DRAM; older ones go to the
-    // simulated persistent tier.
-    let mut store = EpochStore::new(config, 2).unwrap();
+    let egress_config = EgressConfig {
+        copies: config.copies,
+        slots: config.slots,
+        layout: config.layout,
+        collectors: config.collectors,
+        udp_src_port: 49152,
+        primitive: config.primitive,
+    };
+    let mut egress = DartEgress::new(SwitchIdentity::derived(17), egress_config, 17).unwrap();
+    let mut cluster = CollectorCluster::new(config).unwrap();
+    ControlPlane::new()
+        .install_directory(&mut egress, &cluster.directory_for_switch())
+        .unwrap();
 
     // Epoch 0: the outage happens — flow X loops through switch 17.
-    store.insert(b"flow:X", &value(17)).unwrap();
-    store.insert(b"flow:Y", &value(3)).unwrap();
-    println!("epoch {}: outage telemetry written", store.active_epoch());
-    store.rotate();
-
-    // Epochs 1..3: life goes on, the same keys get new values.
-    for epoch in 1..=3u8 {
-        store.insert(b"flow:X", &value(40 + epoch)).unwrap();
-        store.insert(b"flow:Y", &value(50 + epoch)).unwrap();
-        println!("epoch {}: fresh telemetry written", store.active_epoch());
-        store.rotate();
+    // Epochs 1..3: life goes on, the same keys get new values. Flow Y's
+    // epoch-3 report is still in flight when that epoch is sealed.
+    let mut in_flight = Vec::new();
+    for epoch in 0..=3u8 {
+        let tags = if epoch == 0 {
+            [17, 3]
+        } else {
+            [40 + epoch, 50 + epoch]
+        };
+        for (key, tag) in [b"flow:X", b"flow:Y"].into_iter().zip(tags) {
+            in_flight = egress.craft(key, &[tag; 20]).unwrap();
+            if epoch < 3 || key == b"flow:X" {
+                for report in in_flight.drain(..) {
+                    cluster.deliver(&report.frame);
+                }
+            }
+        }
+        println!("epoch {epoch}: telemetry written");
+        cluster.rotate_epoch().unwrap();
+        egress.repoint_collectors(&cluster.directory()).unwrap();
+    }
+    for report in in_flight {
+        cluster.deliver(&report.frame);
     }
 
+    let x_owner = cluster.collector(cluster.collector_of(b"flow:X")).unwrap();
     println!(
-        "\nDRAM ring holds epochs {:?}; persistent tier holds {:?}",
-        store.dram_epochs(),
-        store.archived_epochs()
+        "\nlive epoch {}; DRAM ring holds epochs {:?}; persistent tier holds {:?}",
+        x_owner.epoch(),
+        x_owner.dram_epochs(),
+        x_owner.archived_epochs()
     );
+    for index in 0..2 {
+        let regions = cluster.collector(index).unwrap().registered_regions();
+        println!("collector {index}: {regions} NIC-registered regions (1 live + 2 sealed)");
+    }
 
     // Live query: what is flow X doing right now? (Nothing this epoch.)
-    match store.query_current(b"flow:X") {
-        QueryOutcome::Empty => println!("current epoch: flow X quiet"),
-        QueryOutcome::Answer(_) => println!("current epoch: flow X active"),
-    }
+    let live = cluster.try_query(b"flow:X").unwrap();
+    println!("\ncurrent epoch: flow X answers {live:?}");
 
     // Historical query: what did flow X do during the outage (epoch 0)?
-    match store.query_epoch(0, b"flow:X").unwrap() {
+    match x_owner.query_epoch(0, b"flow:X").unwrap() {
         QueryOutcome::Answer(v) => println!(
             "epoch 0 (from the slow tier): flow X value tagged {} — the loop through switch 17",
-            v[1]
+            v[0]
         ),
         QueryOutcome::Empty => panic!("outage telemetry must be archived"),
     }
 
-    // And the epoch right before the present, still hot in DRAM.
-    match store.query_epoch(3, b"flow:Y").unwrap() {
-        QueryOutcome::Answer(v) => println!("epoch 3 (DRAM): flow Y value tagged {}", v[1]),
+    // The epoch right before the present is still hot in DRAM, and the
+    // report delivered after the flip landed in the epoch it addressed.
+    let y_owner = cluster.collector(cluster.collector_of(b"flow:Y")).unwrap();
+    match y_owner.query_epoch(3, b"flow:Y").unwrap() {
+        QueryOutcome::Answer(v) => println!("epoch 3 (DRAM): flow Y value tagged {}", v[0]),
         QueryOutcome::Empty => panic!("epoch 3 is still in DRAM"),
     }
-
-    let stats = store.stats();
-    println!(
-        "\nstorage hierarchy: {} sealed, {} archived; queries — {} active, {} DRAM, {} persistent",
-        stats.sealed,
-        stats.archived,
-        stats.active_queries,
-        stats.dram_queries,
-        stats.persistent_queries
-    );
 }

@@ -1,8 +1,7 @@
 //! Whole-system integration: multi-collector sharding, per-query policy
-//! trade-offs, and epoch rotation over collector memory.
+//! trade-offs, and epoch rotation over NIC-registered collector regions.
 
 use direct_telemetry_access::core::config::DartConfig;
-use direct_telemetry_access::core::epoch::EpochStore;
 use direct_telemetry_access::core::hash::MappingKind;
 use direct_telemetry_access::core::query::{QueryOutcome, ReturnPolicy};
 use direct_telemetry_access::core::store::DartStore;
@@ -88,37 +87,68 @@ fn per_query_policies_trade_empties_for_errors() {
 
 #[test]
 fn epoch_rotation_preserves_history_under_continuous_ingest() {
+    use direct_telemetry_access::collector::CollectorCluster;
+    use direct_telemetry_access::core::PrimitiveSpec;
+    use direct_telemetry_access::switch::control_plane::ControlPlane;
+    use direct_telemetry_access::switch::egress::{DartEgress, EgressConfig};
+    use direct_telemetry_access::switch::SwitchIdentity;
+
     let config = DartConfig::builder()
         .slots(1 << 10)
         .copies(2)
-        .mapping(MappingKind::Mix64 { seed: 3 })
+        .collectors(2)
+        .mapping(MappingKind::Crc)
         .build()
         .unwrap();
-    let mut store = EpochStore::new(config, 3).unwrap();
+    let mut egress = DartEgress::new(
+        SwitchIdentity::derived(9),
+        EgressConfig {
+            copies: 2,
+            slots: 1 << 10,
+            layout: config.layout,
+            collectors: 2,
+            udp_src_port: 49152,
+            primitive: PrimitiveSpec::KeyWrite,
+        },
+        9,
+    )
+    .unwrap();
+    let mut cluster = CollectorCluster::new(config).unwrap();
+    ControlPlane::new()
+        .install_directory(&mut egress, &cluster.directory_for_switch())
+        .unwrap();
 
     // Five epochs of ingest; key "survivor" written every epoch with an
     // epoch-specific value.
     for epoch in 0..5u8 {
         for i in 0..500u32 {
             let key = format!("e{epoch}-k{i}");
-            store.insert(key.as_bytes(), &[i as u8; 20]).unwrap();
+            for report in egress.craft(key.as_bytes(), &[i as u8; 20]).unwrap() {
+                cluster.deliver(&report.frame);
+            }
         }
-        store.insert(b"survivor", &[0xE0 + epoch; 20]).unwrap();
-        store.rotate();
+        for report in egress.craft(b"survivor", &[0xE0 + epoch; 20]).unwrap() {
+            cluster.deliver(&report.frame);
+        }
+        assert_eq!(cluster.rotate_epoch(), Ok(u64::from(epoch)));
+        egress.repoint_collectors(&cluster.directory()).unwrap();
     }
 
     // Every epoch's survivor value is recoverable, from DRAM or the
     // persistent tier.
+    let owner = cluster
+        .collector(cluster.collector_of(b"survivor"))
+        .unwrap();
     for epoch in 0..5u64 {
-        match store.query_epoch(epoch, b"survivor").unwrap() {
+        match owner.query_epoch(epoch, b"survivor").unwrap() {
             QueryOutcome::Answer(v) => assert_eq!(v[0], 0xE0 + epoch as u8),
             QueryOutcome::Empty => panic!("survivor lost in epoch {epoch}"),
         }
     }
-    let stats = store.stats();
-    assert_eq!(stats.sealed, 5);
-    assert_eq!(stats.archived, 2); // 5 sealed - 3 DRAM slots
-    assert!(stats.persistent_queries >= 2);
+    assert_eq!(owner.epoch(), 5);
+    assert_eq!(owner.archived_epochs(), vec![0, 1, 2]); // 5 sealed - 2 DRAM slots
+    assert_eq!(owner.dram_epochs(), vec![3, 4]);
+    assert_eq!(owner.query_epoch(5, b"survivor"), Ok(QueryOutcome::Empty));
 }
 
 #[test]
